@@ -4,14 +4,16 @@ One JSON document per key plus an append-only ndjson index.  Keys are pure
 functions of the canonical query encoding and the engine version, so results
 computed by older engines are never served for a newer one.  Writes go to a
 temporary file in the cache directory and are renamed into place, so a
-concurrent reader never sees a partial record.  Values are stored as decimal
-numerator/denominator strings; no floats touch the records.
+concurrent reader never sees a partial record; a record that cannot be parsed
+anyway is treated as a miss and rewritten by the next store.  Values are
+stored as decimal numerator/denominator strings; no floats touch the records.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -93,19 +95,31 @@ class ResultCache:
         )
 
     def get(self, key: str):
+        """The record stored under ``key``, or None on a miss.
+
+        A record that cannot be read or parsed counts as a miss: a note
+        naming the file goes to stderr, and the caller's next :meth:`put`
+        replaces it.
+        """
         path = self.path_for(key)
         if not path.exists():
             return None
-        document = json.loads(path.read_text(encoding="ascii"))
-        return CacheRecord(
-            key=document["key"],
-            query=document["query"],
-            value=Fraction(int(document["value"]["num"]), int(document["value"]["den"])),
-            seeds=tuple(document["seeds"]),
-            graph_count=document["graph_count"],
-            engine_version=document["engine_version"],
-            created_at=document["created_at"],
-        )
+        try:
+            document = json.loads(path.read_text(encoding="ascii"))
+            if document["key"] != key:
+                raise ValueError(f"record holds key {document['key']!r}")
+            return CacheRecord(
+                key=document["key"],
+                query=document["query"],
+                value=Fraction(int(document["value"]["num"]), int(document["value"]["den"])),
+                seeds=tuple(document["seeds"]),
+                graph_count=document["graph_count"],
+                engine_version=document["engine_version"],
+                created_at=document["created_at"],
+            )
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+            print(f"gwlocal: ignoring unreadable cache record {path}: {exc!r}", file=sys.stderr)
+            return None
 
     def put(self, record: CacheRecord) -> None:
         document = {

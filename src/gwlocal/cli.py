@@ -23,6 +23,7 @@ from .cache import ResultCache, cache_key, resolve_cache_dir
 from .localization import (
     ENGINE_VERSION,
     DimensionMismatch,
+    ResamplingExhausted,
     WeightIndependenceFailure,
     sum_invariant,
 )
@@ -54,9 +55,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser):
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for graph sums")
+    parser.add_argument(
+        "--jobs", type=_positive_int, default=1, help="worker processes for graph sums"
+    )
     parser.add_argument("--cache-dir", default=None, help="override the result cache directory")
     parser.add_argument("--seed", type=int, default=None, help="base seed; uses seed, seed+1, seed+2")
     parser.add_argument("--quiet", action="store_true", help="suppress informational notes")
@@ -414,7 +427,7 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"gwlocal: dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except (WeightIndependenceFailure, RuntimeError) as exc:
+    except (WeightIndependenceFailure, ResamplingExhausted) as exc:
         print(f"gwlocal: engine failure: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     except (UnsupportedDimension, ValueError, OSError) as exc:

@@ -10,7 +10,9 @@ dimension zero.  That constant is the invariant.
 The engine evaluates the sum at concrete positive rational weight vectors
 drawn deterministically from seeds and requires exact agreement across
 several seeds, which certifies weight independence without symbolic
-computation.  Everything is ``fractions.Fraction``; no floating point.
+computation.  No floating point is involved: each tree's contribution is
+built from integer numerators and denominators and reduced once, into one
+``fractions.Fraction``, and totals and results are exact ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, prod
 
 from .graphs import FixedGraph, enumerate_graphs
 from .targets import (
@@ -35,6 +37,7 @@ __all__ = [
     "WEIGHT_BOUND",
     "DegenerateWeights",
     "WeightIndependenceFailure",
+    "ResamplingExhausted",
     "DimensionMismatch",
     "EngineResult",
     "sample_weights",
@@ -62,6 +65,11 @@ class DegenerateWeights(ArithmeticError):
 class WeightIndependenceFailure(RuntimeError):
     """Totals at distinct seeds disagreed.  This indicates a bug in the
     formulas or the enumeration, never bad user input."""
+
+
+class ResamplingExhausted(RuntimeError):
+    """Every weight vector a seed's lineage offered degenerated, so the graph
+    sum could not be evaluated for that seed."""
 
 
 class DimensionMismatch(ValueError):
@@ -101,31 +109,52 @@ def required_insertion_total(target: CITarget) -> int:
 class _Evaluator:
     """Evaluates tree contributions at one concrete weight vector.
 
-    Edge factors recur across trees, so they are memoized per (pair, degree).
+    The weights are written ``lam_i = p_i / L`` with integers ``p_i`` and
+    ``L`` the lcm of the weight denominators (1 for sampled weights).  Every
+    factor of a contribution is carried as an integer numerator, an integer
+    denominator and a power of ``L``; the product becomes one ``Fraction`` at
+    the end, so each tree is reduced once instead of once per multiply.
+
+    Edge factors recur across trees, so they are memoized per (pair, degree);
+    the tangent product at each fixed point is computed once per label.
     Instances are cheap and process-local; each worker builds its own.
     """
 
     def __init__(self, weights: WeightVector, target: CITarget):
         if weights.ambient_dim != target.ambient_dim:
             raise ValueError("weight vector length does not match the ambient dimension")
-        self.lam = weights.weights
+        lam = weights.weights
+        self.scale = lcm(*(w.denominator for w in lam))
+        self.p = tuple(w.numerator * (self.scale // w.denominator) for w in lam)
         self.target = target
+        degrees = target.degrees
+        # per label: prod_{k != i} (p_i - p_k) and prod_a a * p_i, the bases of
+        # the tangent and hypersurface vertex factors (L-powers n and len(degrees))
+        self._tangent = tuple(
+            prod(pi - pk for k, pk in enumerate(self.p) if k != i) for i, pi in enumerate(self.p)
+        )
+        self._bundle_vertex = tuple(prod(a * pi for a in degrees) for pi in self.p)
+        self._vertex_lpow = len(degrees) - target.ambient_dim
+        powers = [insertion.power for insertion in target.insertions]
+        self._insertion_powers = tuple((w, powers.count(w)) for w in sorted(set(powers)))
         self._bundle_memo = {}
         self._normal_memo = {}
 
     def _bundle_edge(self, a, i, j, de):
         # hypersurface-section weights along one edge:
         #   prod_{c=0..a*de} (c*lam_i + (a*de - c)*lam_j) / de
+        # as (num, den, L-power)
         if i > j:
             i, j = j, i
         key = (a, i, j, de)
         value = self._bundle_memo.get(key)
         if value is None:
-            li, lj = self.lam[i], self.lam[j]
+            pi, pj = self.p[i], self.p[j]
             m = a * de
-            value = Fraction(1)
+            num = 1
             for c in range(m + 1):
-                value *= Fraction(c * li + (m - c) * lj, de)
+                num *= c * pi + (m - c) * pj
+            value = (num, de ** (m + 1), -(m + 1))
             self._bundle_memo[key] = value
         return value
 
@@ -133,88 +162,110 @@ class _Evaluator:
         # edge block of the inverse normal-bundle euler class:
         #   (-1)^de * de^(2de) / ((de!)^2 (lam_i - lam_j)^(2de))
         #   * prod_{k != i,j} prod_{c=0..de} de / (c*lam_i + (de-c)*lam_j - de*lam_k)
+        # as (num, den, L-power)
         if i > j:
             i, j = j, i
         key = (i, j, de)
         value = self._normal_memo.get(key)
         if value is None:
-            li, lj = self.lam[i], self.lam[j]
-            value = Fraction((-1) ** de * de ** (2 * de), factorial(de) ** 2)
-            value /= (li - lj) ** (2 * de)
-            for k, lk in enumerate(self.lam):
+            pi, pj = self.p[i], self.p[j]
+            den = factorial(de) ** 2 * (pi - pj) ** (2 * de)
+            for k, pk in enumerate(self.p):
                 if k == i or k == j:
                     continue
                 for c in range(de + 1):
-                    denominator = c * li + (de - c) * lj - de * lk
+                    denominator = c * pi + (de - c) * pj - de * pk
                     if denominator == 0:
                         raise DegenerateWeights(
                             f"edge ({i},{j}) of degree {de} met fixed point {k}"
                         )
-                    value *= Fraction(de) / denominator
+                    den *= denominator
+            factors = (len(self.p) - 2) * (de + 1)
+            value = ((-1) ** de * de ** (2 * de + factors), den, 2 * de + factors)
             self._normal_memo[key] = value
         return value
 
-    def _geometry(self, graph: FixedGraph):
-        # per vertex: edge valence, flag weights (lam_i - lam_j)/de, and the
-        # sum of reciprocal flag weights
-        nv = len(graph.vertices)
+    def _core(self, graph, mark_counts):
+        """Unmarked contribution of ``graph`` before the symmetry divisor, as
+        ``(num, den, lpow, recips)``; ``recips[v]`` is the pair ``(rn, rd)``
+        with ``L * rn / rd`` the sum of reciprocal flag weights at ``v``."""
+        p = self.p
+        degrees = self.target.degrees
+        labels = [label for label, _marks in graph.vertices]
+        nv = len(labels)
         valence = [0] * nv
-        flags = [[] for _ in range(nv)]
-        for a, b, de in graph.edges:
-            la = self.lam[graph.vertices[a][0]]
-            lb = self.lam[graph.vertices[b][0]]
-            omega = Fraction(la - lb, de)
-            flags[a].append(omega)
-            flags[b].append(-omega)
-            valence[a] += 1
-            valence[b] += 1
-        recip_sums = [sum((1 / w for w in flag_list), Fraction(0)) for flag_list in flags]
-        return valence, flags, recip_sums
-
-    def _core(self, graph, valence, flags, recip_sums, mark_counts):
-        # bundle euler class over the graph
-        value = Fraction(1)
-        for a in self.target.degrees:
-            for u, v, de in graph.edges:
-                value *= self._bundle_edge(a, graph.vertices[u][0], graph.vertices[v][0], de)
-            for v, (label, _marks) in enumerate(graph.vertices):
-                value *= (a * self.lam[label]) ** (1 - valence[v])
-        # vertex blocks of the inverse normal euler class
-        for v, (label, _marks) in enumerate(graph.vertices):
-            lv = self.lam[label]
-            tangent = Fraction(1)
-            for k, lk in enumerate(self.lam):
-                if k != label:
-                    tangent *= lv - lk
-            exponent = valence[v] + mark_counts[v] - 3
-            recip = recip_sums[v]
-            if recip == 0 and exponent < 0:
-                raise DegenerateWeights(f"reciprocal flag weights at vertex {v} summed to zero")
-            value *= tangent ** (valence[v] - 1)
-            value *= recip**exponent
-            for omega in flags[v]:
-                value /= omega
-        # edge blocks
+        rnum = [0] * nv
+        rden = [1] * nv
+        num = den = 1
+        lpow = 0
         for u, v, de in graph.edges:
-            value *= self._normal_edge(graph.vertices[u][0], graph.vertices[v][0], de)
-        return value
+            i, j = labels[u], labels[v]
+            diff = p[i] - p[j]
+            valence[u] += 1
+            valence[v] += 1
+            # flag weights are omega = diff / (de L) at u and -omega at v:
+            # their reciprocals enter the vertex sums, and dividing by both
+            # multiplies by -(de L / diff)^2
+            rnum[u] = rnum[u] * diff + de * rden[u]
+            rden[u] *= diff
+            rnum[v] = rnum[v] * diff - de * rden[v]
+            rden[v] *= diff
+            num *= -de * de
+            den *= diff * diff
+            lpow += 2
+            for a in degrees:
+                bn, bd, bl = self._bundle_edge(a, i, j, de)
+                num *= bn
+                den *= bd
+                lpow += bl
+            nn, nd, nl = self._normal_edge(i, j, de)
+            num *= nn
+            den *= nd
+            lpow += nl
+        for v in range(nv):
+            # tangent^(val-1) * prod_a (a lam)^(1-val) * recip^(val+marks-3)
+            label = labels[v]
+            e = valence[v] - 1
+            if e > 0:
+                num *= self._tangent[label] ** e
+                den *= self._bundle_vertex[label] ** e
+            elif e < 0:
+                num *= self._bundle_vertex[label]
+                den *= self._tangent[label]
+            lpow += self._vertex_lpow * e
+            exponent = e + mark_counts[v] - 2
+            if exponent > 0:
+                num *= rnum[v] ** exponent
+                den *= rden[v] ** exponent
+            elif exponent < 0:
+                if rnum[v] == 0:
+                    raise DegenerateWeights(f"reciprocal flag weights at vertex {v} summed to zero")
+                num *= rden[v] ** -exponent
+                den *= rnum[v] ** -exponent
+            lpow += exponent
+        return num, den, lpow, list(zip(rnum, rden))
 
-    def _symmetry_divisor(self, graph):
-        divisor = graph.aut_order
+    def _reduce(self, graph, num, den, lpow):
+        if lpow > 0:
+            num *= self.scale**lpow
+        elif lpow < 0:
+            den *= self.scale**-lpow
+        den *= graph.aut_order
         for _u, _v, de in graph.edges:
-            divisor *= de
-        return divisor
+            den *= de
+        return Fraction(num, den)
 
     def marked_value(self, graph: FixedGraph) -> Fraction:
         """Contribution of one tree carrying its marks explicitly."""
         insertions = self.target.insertions
-        valence, flags, recip_sums = self._geometry(graph)
         mark_counts = [len(marks) for _label, marks in graph.vertices]
-        value = self._core(graph, valence, flags, recip_sums, mark_counts)
+        num, den, lpow, _recips = self._core(graph, mark_counts)
         for label, marks in graph.vertices:
             for mark in marks:
-                value *= self.lam[label] ** insertions[mark - 1].power
-        return value / self._symmetry_divisor(graph)
+                power = insertions[mark - 1].power
+                num *= self.p[label] ** power
+                lpow -= power
+        return self._reduce(graph, num, den, lpow)
 
     def summed_value(self, graph: FixedGraph) -> Fraction:
         """Total of :meth:`marked_value` over all ways of placing the target's
@@ -226,16 +277,20 @@ class _Evaluator:
         one vertex sum per mark.  Summing the factored form over unmarked
         classes weighted by ``1/aut`` equals summing the explicit form over
         marked classes (orbit counting), with enumeration cost independent of
-        the mark count.
+        the mark count.  Marks of equal power share one vertex sum.
         """
-        valence, flags, recip_sums = self._geometry(graph)
-        value = self._core(graph, valence, flags, recip_sums, [0] * len(graph.vertices))
-        for insertion in self.target.insertions:
-            vertex_sum = Fraction(0)
-            for v, (label, _marks) in enumerate(graph.vertices):
-                vertex_sum += recip_sums[v] * self.lam[label] ** insertion.power
-            value *= vertex_sum
-        return value / self._symmetry_divisor(graph)
+        num, den, lpow, recips = self._core(graph, [0] * len(graph.vertices))
+        labels = [label for label, _marks in graph.vertices]
+        for power, count in self._insertion_powers:
+            # sum_v (L rn/rd) (p_v/L)^power over the common denominator prod rd
+            snum, sden = 0, 1
+            for label, (rn, rd) in zip(labels, recips):
+                snum = snum * rd + rn * self.p[label] ** power * sden
+                sden *= rd
+            num *= snum**count
+            den *= sden**count
+            lpow += (1 - power) * count
+        return self._reduce(graph, num, den, lpow)
 
 
 def graph_contribution(graph: FixedGraph, weights: WeightVector, target: CITarget) -> Fraction:
@@ -318,8 +373,9 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     is identical for any worker count.
 
     Raises :class:`DimensionMismatch` if the insertions do not cut the
-    problem to dimension zero, and :class:`WeightIndependenceFailure` if the
-    per-seed totals disagree.
+    problem to dimension zero, :class:`ResamplingExhausted` if every weight
+    vector a seed offers degenerates, and :class:`WeightIndependenceFailure`
+    if the per-seed totals disagree.
     """
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2 or len(set(seeds)) != len(seeds):
@@ -339,7 +395,9 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
         attempt = 0
         while True:
             if attempt >= _MAX_RESAMPLE:
-                raise RuntimeError(f"no admissible weights after {_MAX_RESAMPLE} attempts")
+                raise ResamplingExhausted(
+                    f"no admissible weights for seed {seed} after {_MAX_RESAMPLE} attempts"
+                )
             weights = sample_weights(seed, target.ambient_dim, attempt)
             if weights.weights in used:
                 attempt += 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gwlocal
-from gwlocal import ENGINE_VERSION, cache_key, parse_fraction
+from gwlocal import ENGINE_VERSION, WeightVector, cache_key, localization, parse_fraction
 from gwlocal.cli import main
 
 
@@ -119,6 +119,32 @@ class TestGenus0:
         code, _out, _err = run(capsys, "genus0", "--curve-degree", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_nonpositive_jobs_exit_1(self, capsys, cache_dir, jobs):
+        code, out, err = run(
+            capsys,
+            "genus0", "--ambient-dim", "1", "--curve-degree", "1", "--insertions", "1,1",
+            "--jobs", jobs, "--cache-dir", cache_dir,
+        )
+        assert code == 1
+        assert out == ""
+        assert "--jobs" in err
+
+    def test_resampling_exhaustion_exit_3(self, capsys, cache_dir, monkeypatch):
+        # at weights (1, 2, 3) a degree-2 edge between labels 0 and 2 meets
+        # fixed point 1, so every attempt degenerates
+        monkeypatch.setattr(
+            localization, "sample_weights", lambda seed, n, attempt=0: WeightVector((1, 2, 3))
+        )
+        code, out, err = run(
+            capsys,
+            "genus0", "--ambient-dim", "2", "--curve-degree", "2",
+            "--insertions", "2,2,2,2,2", "--cache-dir", cache_dir,
+        )
+        assert code == 3
+        assert out == ""
+        assert "engine failure: no admissible weights for seed 1" in err
+
 
 class TestCache:
     def test_hit_is_bit_identical_and_noted(self, capsys, cache_dir):
@@ -164,6 +190,27 @@ class TestCache:
         assert doc["seeds"] == [1, 2, 3]
         index_lines = (cache / "index.ndjson").read_text().strip().splitlines()
         assert any(json.loads(line)["key"] == record_path.stem for line in index_lines)
+
+    def test_corrupt_record_is_recomputed_and_rewritten(self, capsys, cache_dir):
+        argv = (
+            "genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "1",
+            "--format", "json", "--cache-dir", cache_dir,
+        )
+        code, first, _err = run(capsys, *argv)
+        assert code == 0
+        key = cache_key(json.loads(first)["query"], ENGINE_VERSION)
+        record_path = Path(cache_dir) / f"{key}.json"
+        text = record_path.read_text()
+        record_path.write_text(text[: len(text) // 2])
+        code, second, err = run(capsys, *argv)
+        assert code == 0
+        assert second == first
+        assert str(record_path) in err
+        assert "cache hit" not in err
+        assert json.loads(record_path.read_text())["value"] == {"num": "2875", "den": "1"}
+        code, _out, err = run(capsys, *argv)
+        assert code == 0
+        assert "cache hit" in err
 
     def test_key_depends_on_engine_version(self):
         query = {"kind": "genus0", "ambient_dim": 4}

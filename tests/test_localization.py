@@ -77,6 +77,14 @@ class TestQuinticLines:
         assert result.value == 2875
 
 
+class TestQuinticDegreeFive:
+    def test_mirror_formula_value(self):
+        # the genus-zero degree-5 quintic number predicted by the mirror formula
+        result = sum_invariant(CITarget(4, (5,), 5))
+        assert result.value == 229305888887648
+        assert result.graph_count == 18730
+
+
 class TestSmallTargets:
     def test_p1_two_marked_points(self):
         result = sum_invariant(CITarget(1, (), 1, (1, 1)))
