@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import astuple, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,15 +29,15 @@ from .localization import (
     sum_invariant,
 )
 from .relations import (
-    BPSTable,
-    UnsupportedDimension,
+    QuinticTableRow,
     bps0_from_gw0,
     bps1_from_gw1,
     load_table1,
+    parse_degree_table,
     reproduce_table1,
     wdvv_p2,
 )
-from .targets import CITarget, DimensionQuery, expected_dimension, format_fraction, parse_fraction
+from .targets import CITarget, DimensionQuery, expected_dimension, format_fraction
 
 __all__ = ["main", "build_parser", "EXIT_OK", "EXIT_USAGE", "EXIT_DIMENSION", "EXIT_ENGINE"]
 
@@ -96,9 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     bps.add_argument("--genus", type=int, required=True)
     bps.add_argument("--max-degree", type=int, required=True)
     bps.add_argument("--input", default=None, help="table file of 'degree value' lines")
-    bps.add_argument(
-        "--gw0-input", default=None, help="genus-zero table file (genus 1 only)"
-    )
+    bps.add_argument("--gw0-input", default=None, help="genus-zero table file (genus 1 only)")
     _add_common(bps)
     bps.set_defaults(func=cmd_bps)
 
@@ -124,18 +123,15 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
+def _fail(args, message) -> int:
+    print(f"gwlocal {args.command}: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def _seeds(args):
     if args.seed is None:
         return (1, 2, 3)
     return (args.seed, args.seed + 1, args.seed + 2)
-
-
-def _fraction_json(value: Fraction) -> dict:
-    return {"num": str(value.numerator), "den": str(value.denominator)}
-
-
-def _quintic_query(d: int) -> dict:
-    return _genus0_query(CITarget(4, (5,), d))
 
 
 def _genus0_query(target: CITarget) -> dict:
@@ -148,20 +144,15 @@ def _genus0_query(target: CITarget) -> dict:
     }
 
 
-def _cached_engine_value(cache, query, args):
-    """Engine result for one genus-zero query, served from cache when the key
+def _cached_engine_value(cache, target, args):
+    """Engine result for one genus-zero target, served from cache when the key
     matches; (value, graph_count, seeds) triple."""
+    query = _genus0_query(target)
     key = cache_key(query, ENGINE_VERSION)
     record = cache.get(key)
     if record is not None:
         _note(args, f"cache hit {key[:12]}")
         return record.value, record.graph_count, tuple(record.seeds)
-    target = CITarget(
-        query["ambient_dim"],
-        tuple(query["degrees"]),
-        query["curve_degree"],
-        tuple(query["insertions"]),
-    )
     result = sum_invariant(target, seeds=_seeds(args), jobs=args.jobs)
     cache.put(
         ResultCache.make_record(
@@ -171,10 +162,62 @@ def _cached_engine_value(cache, query, args):
     return result.value, result.graph_count, result.weight_seeds
 
 
-def _emit_csv(rows):
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
+# marks where a JSON document takes one object per row
+_ROWS = object()
+
+# text output abbreviates these column names
+_TEXT_NAMES = {"degree": "d", "reduced_term": "reduced"}
+
+
+def _cell(value, as_json=False):
+    """One output cell: exact rationals as ``{"num","den"}`` in JSON and
+    ``num/den`` elsewhere, booleans as ``yes``/``no`` and seed tuples
+    space-joined outside JSON, a missing value as an empty CSV cell."""
+    if isinstance(value, Fraction):
+        if as_json:
+            return {"num": str(value.numerator), "den": str(value.denominator)}
+        return format_fraction(value)
+    if isinstance(value, bool) and not as_json:
+        return "yes" if value else "no"
+    if isinstance(value, tuple):
+        return list(value) if as_json else " ".join(map(str, value))
+    if value is None and not as_json:
+        return ""
+    return value
+
+
+def _emit(args, header, rows, doc, text=None) -> int:
+    """Print ``rows`` (tuples of cells named by ``header``) in ``args.format``.
+
+    JSON prints ``doc`` with its ``_ROWS`` entry replaced by one object per
+    row; a ``doc`` without one gets the single row's fields after its own.
+    CSV prints the header, then the rows.  Text prints the ``text`` lines, or
+    else one line of ``name=value`` pairs per row, skipping missing values.
+    """
+    if args.format == "json":
+        records = [{name: _cell(v, as_json=True) for name, v in zip(header, row)} for row in rows]
+        if _ROWS in doc.values():
+            doc = {key: records if value is _ROWS else value for key, value in doc.items()}
+        else:
+            doc = {**doc, **records[0]}
+        print(json.dumps(doc))
+    elif args.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    else:
+        if text is None:
+            text = [
+                " ".join(
+                    f"{_TEXT_NAMES.get(name, name)}={_cell(v)}"
+                    for name, v in zip(header, row)
+                    if v is not None
+                )
+                for row in rows
+            ]
+        for line in text:
+            print(line)
+    return EXIT_OK
 
 
 def cmd_genus0(args) -> int:
@@ -183,203 +226,73 @@ def cmd_genus0(args) -> int:
         insertions = tuple(int(x) for x in args.insertions.split(",") if x.strip())
         target = CITarget(args.ambient_dim, degrees, args.curve_degree, insertions)
     except ValueError as exc:
-        print(f"gwlocal genus0: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    query = _genus0_query(target)
+        return _fail(args, exc)
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
-    value, graph_count, seeds = _cached_engine_value(cache, query, args)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "query": query,
-                    "value": _fraction_json(value),
-                    "graph_count": graph_count,
-                    "seeds": list(seeds),
-                    "engine_version": ENGINE_VERSION,
-                }
-            )
-        )
-    elif args.format == "csv":
-        _emit_csv(
-            [
-                ["value", "graph_count", "seeds", "engine_version"],
-                [format_fraction(value), graph_count, " ".join(map(str, seeds)), ENGINE_VERSION],
-            ]
-        )
-    else:
-        print(f"value: {format_fraction(value)}")
-        print(f"graph_count: {graph_count}")
-        print(f"seeds: {' '.join(map(str, seeds))}")
-        print(f"engine_version: {ENGINE_VERSION}")
-    return EXIT_OK
+    value, graph_count, seeds = _cached_engine_value(cache, target, args)
+    header = ("value", "graph_count", "seeds", "engine_version")
+    row = (value, graph_count, tuple(seeds), ENGINE_VERSION)
+    text = [f"{name}: {_cell(v)}" for name, v in zip(header, row)]
+    return _emit(args, header, [row], {"query": _genus0_query(target)}, text)
 
 
 def cmd_table1(args) -> int:
     table = load_table1()
     if not 1 <= args.max_degree <= table.max_degree:
-        print(
-            f"gwlocal table1: error: --max-degree must be 1..{table.max_degree}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        return _fail(args, f"--max-degree must be 1..{table.max_degree}")
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
 
     def engine(d):
-        value, _graphs, _seeds = _cached_engine_value(cache, _quintic_query(d), args)
-        return value
+        return _cached_engine_value(cache, CITarget(4, (5,), d), args)[0]
 
-    rows = reproduce_table1(
+    audit = reproduce_table1(
         args.max_degree, table.reduced_terms, table.genus1_gw, table.genus1_bps, engine
     )
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "rows": [
-                        {
-                            "degree": row.degree,
-                            "reduced_term": _fraction_json(row.reduced_term),
-                            "genus1_gw": _fraction_json(row.genus1_gw),
-                            "genus1_bps": _fraction_json(row.genus1_bps),
-                            "genus0_gw": _fraction_json(row.genus0_gw),
-                            "consistent": row.consistent,
-                            "corrected_genus1_gw": (
-                                None
-                                if row.corrected_genus1_gw is None
-                                else _fraction_json(row.corrected_genus1_gw)
-                            ),
-                        }
-                        for row in rows
-                    ],
-                    "engine_version": ENGINE_VERSION,
-                }
-            )
-        )
-    elif args.format == "csv":
-        out = [
-            [
-                "degree",
-                "reduced_term",
-                "genus1_gw",
-                "genus1_bps",
-                "genus0_gw",
-                "consistent",
-                "corrected_genus1_gw",
-            ]
-        ]
-        for row in rows:
-            out.append(
-                [
-                    row.degree,
-                    format_fraction(row.reduced_term),
-                    format_fraction(row.genus1_gw),
-                    format_fraction(row.genus1_bps),
-                    format_fraction(row.genus0_gw),
-                    "yes" if row.consistent else "no",
-                    "" if row.corrected_genus1_gw is None else format_fraction(row.corrected_genus1_gw),
-                ]
-            )
-        _emit_csv(out)
-    else:
-        for row in rows:
-            line = (
-                f"d={row.degree} reduced={format_fraction(row.reduced_term)} "
-                f"genus1_gw={format_fraction(row.genus1_gw)} "
-                f"genus1_bps={format_fraction(row.genus1_bps)} "
-                f"genus0_gw={format_fraction(row.genus0_gw)} "
-                f"consistent={'yes' if row.consistent else 'no'}"
-            )
-            if row.corrected_genus1_gw is not None:
-                line += f" corrected_genus1_gw={format_fraction(row.corrected_genus1_gw)}"
-            print(line)
-    return EXIT_OK
+    header = tuple(field.name for field in fields(QuinticTableRow))
+    rows = [astuple(row) for row in audit]
+    return _emit(args, header, rows, {"rows": _ROWS, "engine_version": ENGINE_VERSION})
 
 
-def _read_table_file(path, max_degree):
+def _read_table(path, max_degree) -> dict:
+    text = Path(path).read_text(encoding="ascii")
+    return parse_degree_table(text, path, max_degree=max_degree)[0]
+
+
+def _gw0_table(args, path, unavailable) -> dict:
+    """Genus-zero quintic invariants for degrees 1..--max-degree, from the
+    table file ``path`` or else from the cache; ValueError(unavailable) when
+    the cache lacks a degree."""
+    if path is not None:
+        return _read_table(path, args.max_degree)
+    cache = ResultCache(resolve_cache_dir(args.cache_dir))
     table = {}
-    for line in Path(path).read_text(encoding="ascii").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        table[int(fields[0])] = parse_fraction(fields[1])
-    missing = [d for d in range(1, max_degree + 1) if d not in table]
-    if missing:
-        raise ValueError(f"{path}: missing degrees {missing}")
-    return {d: table[d] for d in range(1, max_degree + 1)}
-
-
-def _gw0_from_cache(cache, max_degree, args):
-    table = {}
-    for d in range(1, max_degree + 1):
-        record = cache.get(cache_key(_quintic_query(d), ENGINE_VERSION))
+    for d in range(1, args.max_degree + 1):
+        record = cache.get(cache_key(_genus0_query(CITarget(4, (5,), d)), ENGINE_VERSION))
         if record is None:
-            return None
+            raise ValueError(unavailable)
         table[d] = record.value
-    _note(args, f"genus-zero table assembled from cache for degrees 1..{max_degree}")
+    _note(args, f"genus-zero table assembled from cache for degrees 1..{args.max_degree}")
     return table
 
 
 def cmd_bps(args) -> int:
-    if args.genus not in (0, 1):
-        print("gwlocal bps: error: --genus must be 0 or 1", file=sys.stderr)
-        return EXIT_USAGE
-    if args.max_degree < 1:
-        print("gwlocal bps: error: --max-degree must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
-    cache = ResultCache(resolve_cache_dir(args.cache_dir))
     try:
+        if args.genus not in (0, 1):
+            raise ValueError("--genus must be 0 or 1")
+        if args.max_degree < 1:
+            raise ValueError("--max-degree must be at least 1")
         if args.genus == 0:
-            if args.input is not None:
-                gw0 = _read_table_file(args.input, args.max_degree)
-            else:
-                gw0 = _gw0_from_cache(cache, args.max_degree, args)
-                if gw0 is None:
-                    print(
-                        "gwlocal bps: error: no --input and no cached genus-zero "
-                        "quintic values; run genus0 or table1 first",
-                        file=sys.stderr,
-                    )
-                    return EXIT_USAGE
-            result = bps0_from_gw0(gw0)
+            hint = "no --input and no cached genus-zero quintic values; run genus0 or table1 first"
+            result = bps0_from_gw0(_gw0_table(args, args.input, hint))
         else:
             if args.input is None:
-                print("gwlocal bps: error: --genus 1 requires --input", file=sys.stderr)
-                return EXIT_USAGE
-            gw1 = _read_table_file(args.input, args.max_degree)
-            if args.gw0_input is not None:
-                gw0 = _read_table_file(args.gw0_input, args.max_degree)
-            else:
-                gw0 = _gw0_from_cache(cache, args.max_degree, args)
-                if gw0 is None:
-                    print(
-                        "gwlocal bps: error: --genus 1 needs --gw0-input or cached "
-                        "genus-zero quintic values",
-                        file=sys.stderr,
-                    )
-                    return EXIT_USAGE
-            result = bps1_from_gw1(gw1, bps0_from_gw0(gw0))
+                raise ValueError("--genus 1 requires --input")
+            gw1 = _read_table(args.input, args.max_degree)
+            hint = "--genus 1 needs --gw0-input or cached genus-zero quintic values"
+            result = bps1_from_gw1(gw1, bps0_from_gw0(_gw0_table(args, args.gw0_input, hint)))
     except (OSError, ValueError) as exc:
-        print(f"gwlocal bps: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "genus": result.genus,
-                    "rows": [
-                        {"degree": d, "value": _fraction_json(v)} for d, v in result.items()
-                    ],
-                }
-            )
-        )
-    elif args.format == "csv":
-        _emit_csv([["degree", "value"]] + [[d, format_fraction(v)] for d, v in result.items()])
-    else:
-        for d, v in result.items():
-            print(f"d={d} value={format_fraction(v)}")
-    return EXIT_OK
+        return _fail(args, exc)
+    rows = list(result.items())
+    return _emit(args, ("degree", "value"), rows, {"genus": result.genus, "rows": _ROWS})
 
 
 def cmd_dims(args) -> int:
@@ -391,29 +304,12 @@ def cmd_dims(args) -> int:
         bundle_c1_dot_A=args.bundle_c1a,
     )
     value = expected_dimension(query)
-    if args.format == "json":
-        print(json.dumps({"value": value}))
-    elif args.format == "csv":
-        _emit_csv([["value"], [value]])
-    else:
-        print(value)
-    return EXIT_OK
+    return _emit(args, ("value",), [(value,)], {}, text=[value])
 
 
 def cmd_wdvv(args) -> int:
     counts = wdvv_p2(args.max_degree)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {"rows": [{"degree": d, "count": _fraction_json(v)} for d, v in counts.items()]}
-            )
-        )
-    elif args.format == "csv":
-        _emit_csv([["degree", "count"]] + [[d, format_fraction(v)] for d, v in counts.items()])
-    else:
-        for d, v in counts.items():
-            print(f"d={d} count={format_fraction(v)}")
-    return EXIT_OK
+    return _emit(args, ("degree", "count"), list(counts.items()), {"rows": _ROWS})
 
 
 def main(argv=None) -> int:
@@ -430,7 +326,7 @@ def main(argv=None) -> int:
     except (WeightIndependenceFailure, ResamplingExhausted) as exc:
         print(f"gwlocal: engine failure: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    except (UnsupportedDimension, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"gwlocal: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -32,6 +32,7 @@ __all__ = [
     "reproduce_table1",
     "wdvv_p2",
     "load_table1",
+    "parse_degree_table",
 ]
 
 
@@ -223,29 +224,49 @@ class ReferenceTable:
 _TABLE1_RESOURCE = "data/quintic_table1.txt"
 
 
+def parse_degree_table(text, name, columns=1, max_degree=None) -> list:
+    """Parse ``degree value...`` rows of whitespace-separated fields, values
+    written ``num/den`` or as integers, skipping blank and ``#`` lines.
+
+    Every row has ``columns`` values and each degree appears once; the
+    degrees must cover ``1..max_degree`` (default: the largest present), and
+    rows above it are dropped.  Returns one ``degree -> Fraction`` dict per
+    value column.  Errors are ValueErrors naming ``name`` and the bad line.
+    """
+    rows = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        try:
+            if len(fields) != columns + 1:
+                raise ValueError(f"expected {columns + 1} fields")
+            degree = int(fields[0])
+            if degree < 1:
+                raise ValueError("degree must be at least 1")
+            if degree in rows:
+                raise ValueError(f"degree {degree} appears twice")
+            rows[degree] = [parse_fraction(field) for field in fields[1:]]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{name}:{number}: {exc}") from None
+    try:
+        return [_as_table({d: row[i] for d, row in rows.items()}, max_degree) for i in range(columns)]
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def load_table1(path=None) -> ReferenceTable:
-    """Load the bundled reference table (or a file in the same format):
-    ``#`` header lines, then tab-separated ``d reduced N1 n1`` rows with
-    fractions written ``num/den``."""
+    """Load the bundled reference table (or a file in the same format): ``#``
+    header lines, then ``d reduced N1 n1`` rows of whitespace-separated fields
+    (the bundled file uses tabs), fractions written ``num/den``, each degree
+    once and degrees contiguous from 1."""
     if path is not None:
         text = Path(path).read_text(encoding="ascii")
     else:
-        text = resources.files("gwlocal").joinpath(_TABLE1_RESOURCE).read_text(encoding="ascii")
-    reduced, gw1, bps1 = {}, {}, {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ValueError(f"expected 4 tab-separated fields, got {line!r}")
-        d = int(fields[0])
-        reduced[d] = parse_fraction(fields[1])
-        gw1[d] = parse_fraction(fields[2])
-        bps1[d] = parse_fraction(fields[3])
-    return ReferenceTable(
-        reduced_terms=_as_table(reduced), genus1_gw=_as_table(gw1), genus1_bps=_as_table(bps1)
-    )
+        path = _TABLE1_RESOURCE
+        text = resources.files("gwlocal").joinpath(path).read_text(encoding="ascii")
+    reduced, gw1, bps1 = parse_degree_table(text, path, columns=3)
+    return ReferenceTable(reduced_terms=reduced, genus1_gw=gw1, genus1_bps=bps1)
 
 
 def reproduce_table1(max_degree, reduced_terms, genus1_gw, genus1_bps, engine) -> list:

@@ -163,6 +163,8 @@ class DimensionQuery:
             raise ValueError("genus must be 0 or 1")
         if self.marks < 0:
             raise ValueError("mark count must be nonnegative")
+        if self.half_dim < 0:
+            raise ValueError("target dimension must be nonnegative")
 
 
 def is_calabi_yau(target: CITarget) -> bool:

@@ -311,13 +311,22 @@ class TestBps:
 
     def test_incomplete_table_exit_1(self, capsys, cache_dir, tmp_path):
         table = tmp_path / "gw0.txt"
-        table.write_text("2 609250\n", encoding="ascii")
-        code, _out, _err = run(
-            capsys,
-            "bps", "--genus", "0", "--max-degree", "2", "--input", str(table),
-            "--cache-dir", cache_dir,
-        )
-        assert code == 1
+        for text, message in [
+            ("2 609250\n", f"{table}: table is missing degree 1"),
+            ("1\n", f"{table}:1: expected 2 fields"),
+            ("1 2875\n2 609250\n1 5\n", f"{table}:3: degree 1 appears twice"),
+            ("1 2875 extra\n2 609250\n", f"{table}:1: expected 2 fields"),
+            ("1 2875\n2 1/0\n", f"{table}:2: "),
+        ]:
+            table.write_text(text, encoding="ascii")
+            code, out, err = run(
+                capsys,
+                "bps", "--genus", "0", "--max-degree", "2", "--input", str(table),
+                "--cache-dir", cache_dir,
+            )
+            assert code == 1, text
+            assert out == ""
+            assert err.startswith(f"gwlocal bps: error: {message}"), err
 
 
 class TestDims:
@@ -349,6 +358,15 @@ class TestDims:
         )
         assert code == 1
         assert "genus" in err
+
+    def test_target_dimension_nonnegative(self, capsys):
+        code, out, _err = run(capsys, "dims", "--genus", "0", "--c1a", "6", "--half-dim", "0")
+        assert code == 0
+        assert out.strip() == "6"
+        code, out, err = run(capsys, "dims", "--genus", "0", "--c1a", "6", "--half-dim", "-2")
+        assert code == 1
+        assert out == ""
+        assert "target dimension must be nonnegative" in err
 
 
 class TestWdvv:

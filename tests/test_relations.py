@@ -1,6 +1,7 @@
 """Genus-one relations, instanton expansions, reference-table audit, WDVV."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -169,9 +170,16 @@ class TestReferenceTable:
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "table.txt"
-        path.write_text("1\t0\t2875/12\n", encoding="ascii")
-        with pytest.raises(ValueError):
-            load_table1(path)
+        for text, message in [
+            ("1\t0\t2875/12\n", ":1: expected 4 fields"),
+            ("1\t0\t2875/12\t0\t7\n", ":1: expected 4 fields"),
+            ("1\t0\t2875/12\t0\n1\t0\t1\t0\n", ":2: degree 1 appears twice"),
+            ("# header\n0\t0\t0\t0\n", ":2: degree must be at least 1"),
+            ("2\t0\t0\t0\n", ": table is missing degree 1"),
+        ]:
+            path.write_text(text, encoding="ascii")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}"):
+                load_table1(path)
 
 
 class TestAudit:
