@@ -230,7 +230,7 @@ def cmd_genus0(args) -> int:
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
     value, graph_count, seeds = _cached_engine_value(cache, target, args)
     header = ("value", "graph_count", "seeds", "engine_version")
-    row = (value, graph_count, tuple(seeds), ENGINE_VERSION)
+    row = (value, graph_count, seeds, ENGINE_VERSION)
     text = [f"{name}: {_cell(v)}" for name, v in zip(header, row)]
     return _emit(args, header, [row], {"query": _genus0_query(target)}, text)
 
