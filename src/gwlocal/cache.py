@@ -1,6 +1,6 @@
 """Content-addressed result cache.
 
-One JSON document per key plus an append-only ndjson index.  Keys are pure
+One JSON document per key, with no separate index.  Keys are pure
 functions of the canonical query encoding and the engine version, so results
 computed by older engines are never served for a newer one.  Writes go to a
 temporary file in the cache directory and are renamed into place, so a
@@ -76,7 +76,6 @@ class ResultCache:
     def __init__(self, directory):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.index_path = self.directory / "index.ndjson"
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -144,12 +143,3 @@ class ResultCache:
             if os.path.exists(tmp_name):
                 os.unlink(tmp_name)
             raise
-        index_line = canonical_query_encoding(
-            {
-                "key": record.key,
-                "created_at": record.created_at,
-                "engine_version": record.engine_version,
-            }
-        )
-        with open(self.index_path, "a", encoding="ascii") as handle:
-            handle.write(index_line + "\n")

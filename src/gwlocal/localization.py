@@ -10,9 +10,12 @@ dimension zero.  That constant is the invariant.
 The engine evaluates the sum at concrete positive rational weight vectors
 drawn deterministically from seeds and requires exact agreement across
 several seeds, which certifies weight independence without symbolic
-computation.  No floating point is involved: each tree's contribution is
-built from integer numerators and denominators and reduced once, into one
-``fractions.Fraction``, and totals and results are exact ``Fraction`` values.
+computation.  No floating point is involved.  The weights' denominators are
+cleared once: a balanced problem makes every tree term homogeneous of degree
+0 in the weights, so each term is evaluated at the integer multiple of the
+weight vector, built from integer numerators and denominators and reduced
+once, into one ``fractions.Fraction``; totals and results are exact
+``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "sample_weights",
     "stable_map_dim",
     "required_insertion_total",
-    "graph_contribution",
     "lines_closed_form",
     "sum_invariant",
 ]
@@ -109,11 +111,15 @@ def required_insertion_total(target: CITarget) -> int:
 class _Evaluator:
     """Evaluates tree contributions at one concrete weight vector.
 
-    The weights are written ``lam_i = p_i / L`` with integers ``p_i`` and
-    ``L`` the lcm of the weight denominators (1 for sampled weights).  Every
-    factor of a contribution is carried as an integer numerator, an integer
-    denominator and a power of ``L``; the product becomes one ``Fraction`` at
-    the end, so each tree is reduced once instead of once per multiply.
+    Precondition: the target is balanced, its insertion codimensions totalling
+    :func:`required_insertion_total` (:func:`sum_invariant` enforces this).
+    Every tree term of a balanced problem is then homogeneous of degree 0 in
+    the weights, so it takes the same value at ``lam`` and at the integer
+    vector ``p = L * lam``, with ``L`` the lcm of the weight denominators (1
+    for sampled weights).  The denominators are cleared once, here; every
+    factor is an integer numerator and denominator at ``p``, and each tree
+    becomes one ``Fraction`` at the end, reduced once instead of once per
+    multiply.  For an unbalanced target the value is the term at ``p``.
 
     Edge factors recur across trees, so they are memoized per (pair, degree);
     the tangent product at each fixed point is computed once per label.
@@ -124,17 +130,16 @@ class _Evaluator:
         if weights.ambient_dim != target.ambient_dim:
             raise ValueError("weight vector length does not match the ambient dimension")
         lam = weights.weights
-        self.scale = lcm(*(w.denominator for w in lam))
-        self.p = tuple(w.numerator * (self.scale // w.denominator) for w in lam)
+        scale = lcm(*(w.denominator for w in lam))
+        self.p = tuple(w.numerator * (scale // w.denominator) for w in lam)
         self.target = target
         degrees = target.degrees
         # per label: prod_{k != i} (p_i - p_k) and prod_a a * p_i, the bases of
-        # the tangent and hypersurface vertex factors (L-powers n and len(degrees))
+        # the tangent and hypersurface vertex factors
         self._tangent = tuple(
             prod(pi - pk for k, pk in enumerate(self.p) if k != i) for i, pi in enumerate(self.p)
         )
         self._bundle_vertex = tuple(prod(a * pi for a in degrees) for pi in self.p)
-        self._vertex_lpow = len(degrees) - target.ambient_dim
         powers = [insertion.power for insertion in target.insertions]
         self._insertion_powers = tuple((w, powers.count(w)) for w in sorted(set(powers)))
         self._bundle_memo = {}
@@ -142,8 +147,8 @@ class _Evaluator:
 
     def _bundle_edge(self, a, i, j, de):
         # hypersurface-section weights along one edge:
-        #   prod_{c=0..a*de} (c*lam_i + (a*de - c)*lam_j) / de
-        # as (num, den, L-power)
+        #   prod_{c=0..a*de} (c*p_i + (a*de - c)*p_j) / de
+        # as (num, den)
         if i > j:
             i, j = j, i
         key = (a, i, j, de)
@@ -154,15 +159,15 @@ class _Evaluator:
             num = 1
             for c in range(m + 1):
                 num *= c * pi + (m - c) * pj
-            value = (num, de ** (m + 1), -(m + 1))
+            value = (num, de ** (m + 1))
             self._bundle_memo[key] = value
         return value
 
     def _normal_edge(self, i, j, de):
         # edge block of the inverse normal-bundle euler class:
-        #   (-1)^de * de^(2de) / ((de!)^2 (lam_i - lam_j)^(2de))
-        #   * prod_{k != i,j} prod_{c=0..de} de / (c*lam_i + (de-c)*lam_j - de*lam_k)
-        # as (num, den, L-power)
+        #   (-1)^de * de^(2de) / ((de!)^2 (p_i - p_j)^(2de))
+        #   * prod_{k != i,j} prod_{c=0..de} de / (c*p_i + (de-c)*p_j - de*p_k)
+        # as (num, den)
         if i > j:
             i, j = j, i
         key = (i, j, de)
@@ -181,49 +186,55 @@ class _Evaluator:
                         )
                     den *= denominator
             factors = (len(self.p) - 2) * (de + 1)
-            value = ((-1) ** de * de ** (2 * de + factors), den, 2 * de + factors)
+            value = ((-1) ** de * de ** (2 * de + factors), den)
             self._normal_memo[key] = value
         return value
 
-    def _core(self, graph, mark_counts):
-        """Unmarked contribution of ``graph`` before the symmetry divisor, as
-        ``(num, den, lpow, recips)``; ``recips[v]`` is the pair ``(rn, rd)``
-        with ``L * rn / rd`` the sum of reciprocal flag weights at ``v``."""
+    def summed_value(self, graph: FixedGraph) -> Fraction:
+        """Contribution of an unmarked tree, summed over all ways of placing
+        the target's marks on it.
+
+        Placing mark ``l`` at vertex ``v`` multiplies the unmarked
+        contribution by ``rnum[v] / rden[v] * p[label(v)] ** power(l)``, and the
+        placements are independent, so the sum over placements factors into
+        one vertex sum per mark.  Summing the factored form over unmarked
+        classes weighted by ``1/aut`` equals summing the explicit form over
+        marked classes (orbit counting), with enumeration cost independent of
+        the mark count.  Marks of equal power share one vertex sum.
+        """
         p = self.p
         degrees = self.target.degrees
         labels = [label for label, _marks in graph.vertices]
         nv = len(labels)
         valence = [0] * nv
+        # rnum[v] / rden[v] is the sum of reciprocal flag weights at v
         rnum = [0] * nv
         rden = [1] * nv
-        num = den = 1
-        lpow = 0
+        num = 1
+        den = graph.aut_order
         for u, v, de in graph.edges:
             i, j = labels[u], labels[v]
             diff = p[i] - p[j]
             valence[u] += 1
             valence[v] += 1
-            # flag weights are omega = diff / (de L) at u and -omega at v:
-            # their reciprocals enter the vertex sums, and dividing by both
-            # multiplies by -(de L / diff)^2
+            # flag weights are omega = diff / de at u and -omega at v: their
+            # reciprocals enter the vertex sums, and dividing by both
+            # multiplies by -(de / diff)^2; the symmetry divisor takes one de
             rnum[u] = rnum[u] * diff + de * rden[u]
             rden[u] *= diff
             rnum[v] = rnum[v] * diff - de * rden[v]
             rden[v] *= diff
             num *= -de * de
-            den *= diff * diff
-            lpow += 2
+            den *= diff * diff * de
             for a in degrees:
-                bn, bd, bl = self._bundle_edge(a, i, j, de)
+                bn, bd = self._bundle_edge(a, i, j, de)
                 num *= bn
                 den *= bd
-                lpow += bl
-            nn, nd, nl = self._normal_edge(i, j, de)
+            nn, nd = self._normal_edge(i, j, de)
             num *= nn
             den *= nd
-            lpow += nl
         for v in range(nv):
-            # tangent^(val-1) * prod_a (a lam)^(1-val) * recip^(val+marks-3)
+            # tangent^(val-1) * prod_a (a p)^(1-val) * recip^(val-3)
             label = labels[v]
             e = valence[v] - 1
             if e > 0:
@@ -232,8 +243,7 @@ class _Evaluator:
             elif e < 0:
                 num *= self._bundle_vertex[label]
                 den *= self._tangent[label]
-            lpow += self._vertex_lpow * e
-            exponent = e + mark_counts[v] - 2
+            exponent = e - 2
             if exponent > 0:
                 num *= rnum[v] ** exponent
                 den *= rden[v] ** exponent
@@ -242,67 +252,15 @@ class _Evaluator:
                     raise DegenerateWeights(f"reciprocal flag weights at vertex {v} summed to zero")
                 num *= rden[v] ** -exponent
                 den *= rnum[v] ** -exponent
-            lpow += exponent
-        return num, den, lpow, list(zip(rnum, rden))
-
-    def _reduce(self, graph, num, den, lpow):
-        if lpow > 0:
-            num *= self.scale**lpow
-        elif lpow < 0:
-            den *= self.scale**-lpow
-        den *= graph.aut_order
-        for _u, _v, de in graph.edges:
-            den *= de
-        return Fraction(num, den)
-
-    def marked_value(self, graph: FixedGraph) -> Fraction:
-        """Contribution of one tree carrying its marks explicitly."""
-        insertions = self.target.insertions
-        mark_counts = [len(marks) for _label, marks in graph.vertices]
-        num, den, lpow, _recips = self._core(graph, mark_counts)
-        for label, marks in graph.vertices:
-            for mark in marks:
-                power = insertions[mark - 1].power
-                num *= self.p[label] ** power
-                lpow -= power
-        return self._reduce(graph, num, den, lpow)
-
-    def summed_value(self, graph: FixedGraph) -> Fraction:
-        """Total of :meth:`marked_value` over all ways of placing the target's
-        marks on an unmarked tree.
-
-        Placing mark ``l`` at vertex ``v`` multiplies the unmarked
-        contribution by ``recip_sums[v] * lam[label(v)] ** power(l)``, and the
-        placements are independent, so the sum over placements factors into
-        one vertex sum per mark.  Summing the factored form over unmarked
-        classes weighted by ``1/aut`` equals summing the explicit form over
-        marked classes (orbit counting), with enumeration cost independent of
-        the mark count.  Marks of equal power share one vertex sum.
-        """
-        num, den, lpow, recips = self._core(graph, [0] * len(graph.vertices))
-        labels = [label for label, _marks in graph.vertices]
         for power, count in self._insertion_powers:
-            # sum_v (L rn/rd) (p_v/L)^power over the common denominator prod rd
+            # sum_v (rn/rd) p_v^power over the common denominator prod rd
             snum, sden = 0, 1
-            for label, (rn, rd) in zip(labels, recips):
-                snum = snum * rd + rn * self.p[label] ** power * sden
+            for label, rn, rd in zip(labels, rnum, rden):
+                snum = snum * rd + rn * p[label] ** power * sden
                 sden *= rd
             num *= snum**count
             den *= sden**count
-            lpow += (1 - power) * count
-        return self._reduce(graph, num, den, lpow)
-
-
-def graph_contribution(graph: FixedGraph, weights: WeightVector, target: CITarget) -> Fraction:
-    """Exact contribution of one decorated tree at one weight vector.
-
-    The tree must carry exactly the target's marks.  Raises
-    :class:`DegenerateWeights` when the specialization hits a vanishing
-    denominator factor.
-    """
-    if graph.num_marks != target.num_marks:
-        raise ValueError("graph marks do not match the target insertions")
-    return _Evaluator(weights, target).marked_value(graph)
+        return Fraction(num, den)
 
 
 def lines_closed_form(n: int, degrees, weights: WeightVector) -> Fraction:

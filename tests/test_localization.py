@@ -11,7 +11,6 @@ from gwlocal import (
     FixedGraph,
     WeightVector,
     enumerate_graphs,
-    graph_contribution,
     lines_closed_form,
     required_insertion_total,
     sample_weights,
@@ -19,6 +18,9 @@ from gwlocal import (
     sum_invariant,
 )
 from gwlocal import localization
+from gwlocal.localization import _Evaluator
+
+from reference_evaluator import ReferenceEvaluator
 
 
 class TestSampleWeights:
@@ -99,12 +101,14 @@ class TestSmallTargets:
         target = CITarget(4, (5,), 1)
         a = FixedGraph(((0, ()), (3, ())), ((0, 1, 1),), 1)
         b = FixedGraph(((3, ()), (0, ())), ((0, 1, 1),), 1)
-        assert graph_contribution(a, w, target) == graph_contribution(b, w, target)
+        evaluator = _Evaluator(w, target)
+        assert evaluator.summed_value(a) == evaluator.summed_value(b)
 
 
 class TestMarkedVersusFactored:
     """The engine distributes marks by factoring; summing explicit marked
-    classes must give the same total."""
+    classes with the independent reference evaluator must give the same
+    total."""
 
     @pytest.mark.parametrize(
         "n, degrees, d, powers",
@@ -117,10 +121,8 @@ class TestMarkedVersusFactored:
         target = CITarget(n, degrees, d, powers)
         engine = sum_invariant(target, seeds=(2, 5)).value
         w = sample_weights(2, n)
-        marked = sum(
-            graph_contribution(g, w, target)
-            for g in enumerate_graphs(n, d, len(powers))
-        )
+        reference = ReferenceEvaluator(w, target)
+        marked = sum(reference.marked_value(g) for g in enumerate_graphs(n, d, len(powers)))
         assert marked == engine
 
 
@@ -147,7 +149,7 @@ class TestDegeneracy:
         graph = FixedGraph(((0, ()), (2, ())), ((0, 1, 2),), 1)
         w = WeightVector((1, 2, 3))
         with pytest.raises(DegenerateWeights):
-            graph_contribution(graph, w, CITarget(2, (), 2))
+            _Evaluator(w, CITarget(2, (), 2)).summed_value(graph)
 
     def test_engine_retries_within_seed_lineage(self, monkeypatch):
         target = CITarget(2, (), 2, (2, 2, 2, 2, 2))
@@ -187,11 +189,16 @@ class TestInputPolicing:
 
 class TestParallel:
     def test_worker_count_is_invisible(self):
-        target = CITarget(4, (5,), 2)
-        serial = sum_invariant(target, seeds=(1, 2))
-        parallel = sum_invariant(target, seeds=(1, 2), jobs=2)
-        assert serial.value == parallel.value == Fraction(4876875, 8)
-        assert serial.graph_count == parallel.graph_count == 60
+        # plane cubics through 8 points run the per-insertion vertex sums
+        # inside the pool workers
+        for target, value, classes in [
+            (CITarget(4, (5,), 2), Fraction(4876875, 8), 60),
+            (CITarget(2, (), 3, (2,) * 8), 12, 39),
+        ]:
+            serial = sum_invariant(target, seeds=(1, 2))
+            parallel = sum_invariant(target, seeds=(1, 2), jobs=2)
+            assert serial.value == parallel.value == value
+            assert serial.graph_count == parallel.graph_count == classes
 
 
 class TestLinesOracle:

@@ -1,0 +1,51 @@
+"""The benchmark's tracer still finds every name it rebinds in the package.
+
+``perfbench/tracing.py`` records spans by rebinding names in ``localization``,
+``cache`` and ``cli``.  A rename in the package would break it silently
+until the long ``perfbench/run.py --self-test``; this runs the tracer on one
+small query serially and through the pool.
+"""
+
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from gwlocal import CITarget, cache, cli, localization
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# every name tracing.instrument rebinds; pinned first so teardown restores them
+REBOUND = [
+    (localization, "enumerate_graphs"),
+    (localization, "sample_weights"),
+    (localization, "ProcessPoolExecutor"),
+    (cache.ResultCache, "get"),
+    (cache.ResultCache, "put"),
+    (cli, "sum_invariant"),
+    (cli, "reproduce_table1"),
+    (cli, "bps0_from_gw0"),
+    (cli, "wdvv_p2"),
+]
+
+
+def test_tracer_records_engine_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    # keep the benchmark's directory free of bytecode
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for owner, name in REBOUND:
+        monkeypatch.setattr(owner, name, getattr(owner, name))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    target = CITarget(4, (5,), 2)
+    for jobs in (1, 2):
+        result = localization.sum_invariant(target, seeds=(1, 2), jobs=jobs)
+        assert result.value == Fraction(4876875, 8)
+
+    names = [span[tracing.NAME] for span in tracer.spans]
+    enumerations = [s for s in tracer.spans if s[tracing.NAME] == "graphs.enumerate"]
+    assert enumerations
+    assert all(s[tracing.ATTRS]["classes"] == 60 for s in enumerations)
+    assert "localization.sample_weights" in names
+    assert "localization.pool" in names

