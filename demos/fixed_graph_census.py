@@ -28,7 +28,7 @@ print(f"\ndegree 4 in P4: {count} classes feed the graph sum")
 
 print("\nsmallest nontrivial census, P1 and degree 2:")
 graphs = list(enumerate_graphs(1, 2, 0))
-for line in iter_dump_lines(graphs):
+for line in sorted(iter_dump_lines(graphs)):
     print("  " + line)
 
 labeled = sum(factorial(g.num_vertices) // g.aut_order for g in graphs)

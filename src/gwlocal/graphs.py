@@ -8,7 +8,10 @@ degrees summing to ``d``, and whose marked points ``1..k`` sit on vertices.
 
 :func:`enumerate_graphs` yields exactly one representative per isomorphism
 class together with the order of its decoration-preserving automorphism
-group, sorted by canonical encoding so the order is deterministic.
+group.  It works per degree-decorated shape: it keeps the labellings that are
+lexicographically least under the shape's automorphisms, so no labelled tree
+is canonicalised, and its order is deterministic.  :func:`canonical_form`
+encodes a single tree canonically, for comparing enumerations.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
+from operator import add, itemgetter
 
 __all__ = [
     "FixedGraph",
@@ -292,32 +296,95 @@ def _compositions(total, parts):
             yield (first,) + rest
 
 
-def _labelings(adj_indices, num_labels):
-    # all vertex-label assignments with adjacent labels distinct, by
-    # backtracking over vertices in index order
-    nv = len(adj_indices)
-    assigned = [0] * nv
-    earlier = [[u for u in adj_indices[v] if u < v] for v in range(nv)]
+def _decorated_shapes(d):
+    # every unlabeled tree with positive edge degrees summing to d, once per
+    # isomorphism class, as (a, b, degree) edges in a preorder numbering
+    # rooted at vertex 0: edge i joins vertex i + 1 to its parent a
+    seen = set()
+    for nv in range(2, d + 2):
+        for tree in _free_trees(nv):
+            for degrees in _compositions(d, nv - 1):
+                edges = tuple((a, b, g) for (a, b), g in zip(tree, degrees))
+                key, _aut = _canonical_key_aut((0,) * nv, edges, [()] * nv)
+                if key not in seen:
+                    seen.add(key)
+                    yield edges
 
-    def rec(v):
+
+def _automorphisms(edges):
+    # every vertex permutation of the shape preserving edges and their
+    # degrees, as image tuples, by backtracking in preorder: a vertex must go
+    # to a neighbour of its parent's image along an edge of the same degree
+    nv = len(edges) + 1
+    neighbours = [{} for _ in range(nv)]
+    parent = [0] * nv
+    for a, b, g in edges:
+        neighbours[a][b] = g
+        neighbours[b][a] = g
+        parent[b] = a
+    image = [0] * nv
+    used = [False] * nv
+
+    def extend(v):
         if v == nv:
-            yield tuple(assigned)
+            yield tuple(image)
             return
-        for lab in range(num_labels):
-            if all(assigned[u] != lab for u in earlier[v]):
-                assigned[v] = lab
-                yield from rec(v + 1)
+        if v == 0:
+            candidates = range(nv)
+        else:
+            up = neighbours[v][parent[v]]
+            candidates = [u for u, g in neighbours[image[parent[v]]].items() if g == up]
+        for u in candidates:
+            if not used[u] and len(neighbours[u]) == len(neighbours[v]):
+                image[v] = u
+                used[u] = True
+                yield from extend(v + 1)
+                used[u] = False
 
-    yield from rec(0)
+    yield from extend(0)
+
+
+def _labelings(edges, num_labels):
+    # every vertex-label tuple with adjacent labels distinct (each vertex
+    # after the root differs from its parent), in lexicographic order
+    labelings = [(label,) for label in range(num_labels)]
+    for parent, _child, _degree in edges:
+        labelings = [
+            labels + (label,)
+            for labels in labelings
+            for label in range(num_labels)
+            if label != labels[parent]
+        ]
+    return labelings
+
+
+def _placements(nv, k, stride):
+    # every placement of marks 1..k on nv vertices, as the per-vertex mark
+    # tuples and the per-vertex offsets stride * (bit mask of the marks)
+    placements = []
+    for assignment in product(range(nv), repeat=k):
+        marks = [[] for _ in range(nv)]
+        offsets = [0] * nv
+        for bit, v in enumerate(assignment):
+            marks[v].append(bit + 1)
+            offsets[v] += stride << bit
+        placements.append((tuple(map(tuple, marks)), tuple(offsets)))
+    return placements
 
 
 def enumerate_graphs(n: int, d: int, k: int = 0):
     """Yield one representative per isomorphism class of decorated trees for
     degree-``d`` fixed loci in projective ``n``-space with ``k`` marks.
 
-    Classes appear sorted by canonical encoding.  The cost grows like
-    ``num_vertices ** k`` in the mark count, so enumerate with ``k = 0`` and
-    handle marks analytically when many marks are needed.
+    Each degree-decorated shape (an unlabeled tree with edge degrees, up to
+    isomorphism) is built once, with its automorphism group.  A labelling
+    and mark placement of the shape is kept exactly when it is
+    lexicographically least in its orbit under that group, and its
+    stabiliser order is the class's ``aut_order``; no labelled tree is ever
+    canonicalised.  Classes appear in a deterministic order: shapes by vertex
+    count, then labellings and mark placements in generation order.  The
+    cost grows like ``num_vertices ** k`` in the mark count, so enumerate
+    with ``k = 0`` and handle marks analytically when many marks are needed.
 
     EXAMPLES::
 
@@ -328,31 +395,27 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
     """
     if n < 1 or d < 1 or k < 0:
         raise ValueError("need n >= 1, d >= 1, k >= 0")
-    reps = {}
-    for nv in range(2, d + 2):
-        for shape in _free_trees(nv):
-            adj_indices = [[] for _ in range(nv)]
-            for a, b in shape:
-                adj_indices[a].append(b)
-                adj_indices[b].append(a)
-            for labels in _labelings(adj_indices, n + 1):
-                for degrees in _compositions(d, nv - 1):
-                    edges = tuple((a, b, g) for (a, b), g in zip(shape, degrees))
-                    for assignment in product(range(nv), repeat=k):
-                        marks = [[] for _ in range(nv)]
-                        for mark_index, v in enumerate(assignment, start=1):
-                            marks[v].append(mark_index)
-                        key, aut = _canonical_key_aut(labels, edges, marks)
-                        if key not in reps:
-                            reps[key] = FixedGraph(
-                                vertices=tuple(
-                                    (labels[v], tuple(marks[v])) for v in range(nv)
-                                ),
-                                edges=edges,
-                                aut_order=aut,
-                            )
-    for key in sorted(reps):
-        yield reps[key]
+    for edges in _decorated_shapes(d):
+        nv = len(edges) + 1
+        identity = tuple(range(nv))
+        images = [itemgetter(*perm) for perm in _automorphisms(edges) if perm != identity]
+        placements = _placements(nv, k, n + 1)
+        for labels in _labelings(edges, n + 1):
+            for marks, offsets in placements:
+                # one integer per vertex, equal exactly when the label and
+                # the marks agree; tuple order ranks decorations
+                decoration = tuple(map(add, labels, offsets))
+                aut = 1
+                for image in images:
+                    moved = image(decoration)
+                    if moved < decoration:
+                        break
+                    if moved == decoration:
+                        aut += 1
+                else:
+                    yield FixedGraph(
+                        vertices=tuple(zip(labels, marks)), edges=edges, aut_order=aut
+                    )
 
 
 def iter_dump_lines(graphs):

@@ -134,3 +134,36 @@ def test_free_tree_counts():
         assert sum(1 for _ in _free_trees(order)) == count
     with pytest.raises(ValueError):
         next(_free_trees(1))
+
+
+def test_star_with_four_equal_leaves_has_full_symmetric_group():
+    # in P1 a star's four leaves all carry the label its center lacks
+    stars = [g for g in enumerate_graphs(1, 4, 0) if max(map(len, g.adjacency())) == 4]
+    assert sorted(sorted(g.labels()) for g in stars) == [[0, 0, 0, 0, 1], [0, 1, 1, 1, 1]]
+    for g in stars:
+        assert g.aut_order == 24
+        g.check(1, 4, 0)
+
+
+def test_alternating_paths_swapped_by_the_central_flip():
+    # 0-1-0-1 and 1-0-1-0 with degrees (1, 1, 1) are one class: the flip
+    # about the central edge carries one to the other and fixes neither
+    paths = [
+        g for g in enumerate_graphs(1, 3, 0)
+        if g.num_vertices == 4 and max(map(len, g.adjacency())) == 2
+    ]
+    assert len(paths) == 1
+    assert paths[0].aut_order == 1
+    paths[0].check(1, 3, 0)
+
+
+def test_marks_on_both_leaves_break_the_conic_flip():
+    # the path 1-0-1 of two degree-1 edges has a flip; marks 1 and 2 on the
+    # two leaves leave only the identity
+    conics = [
+        g for g in enumerate_graphs(1, 2, 2)
+        if sorted(g.vertices) == [(0, ()), (1, (1,)), (1, (2,))]
+    ]
+    assert len(conics) == 1
+    assert conics[0].aut_order == 1
+    conics[0].check(1, 2, 2)
