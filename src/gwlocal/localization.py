@@ -24,6 +24,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial, lcm, prod
 
 from .graphs import FixedGraph, enumerate_graphs
@@ -300,24 +301,60 @@ class EngineResult:
     target: CITarget
 
 
-def _chunk_total(payload):
-    graphs, weights, target = payload
+# the classes, target and slice count of the call a pool worker serves; set
+# once per worker by the pool's initializer, never in the calling process
+_worker_shared = None
+
+
+def _init_worker(shared):
+    global _worker_shared
+    _worker_shared = shared
+
+
+def _slice_total(shared, task):
+    """Sum over one slice of the classes at one weight vector, or ``None`` if
+    the vector degenerates on a class of the slice.  Degeneracy is returned
+    rather than raised so that one bad vector does not abort a whole map."""
+    graphs, target, slice_count = shared
+    weights, index = task
     evaluator = _Evaluator(weights, target)
     total = Fraction(0)
-    for graph in graphs:
-        total += evaluator.summed_value(graph)
+    try:
+        for graph in graphs[index::slice_count]:
+            total += evaluator.summed_value(graph)
+    except DegenerateWeights:
+        return None
     return total
 
 
-def _total_at(graphs, weights, target, jobs):
-    if jobs <= 1 or len(graphs) < 2 * jobs:
-        return _chunk_total((graphs, weights, target))
-    chunk_count = min(len(graphs), 4 * jobs)
-    chunks = [graphs[i::chunk_count] for i in range(chunk_count)]
-    payloads = [(chunk, weights, target) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        partials = list(pool.map(_chunk_total, payloads))
-    return sum(partials, Fraction(0))
+def _pooled_slice_total(task):
+    return _slice_total(_worker_shared, task)
+
+
+def _totals_at(graphs, target, jobs, candidates):
+    """Graph-sum totals at each weight vector in ``candidates``, ``None``
+    where a vector degenerates.
+
+    With ``jobs > 1`` and enough classes, one pool evaluates every candidate
+    as ``jobs`` slices; the classes reach each worker once, through the
+    pool's initializer, so a task carries only a weight vector and a slice
+    index.  Otherwise the same tasks run here, through the builtin ``map``.
+    """
+    slice_count = jobs if jobs > 1 and len(graphs) >= 2 * jobs else 1
+    shared = (graphs, target, slice_count)
+    tasks = [(weights, index) for weights in candidates for index in range(slice_count)]
+    if slice_count == 1:
+        partials = list(map(partial(_slice_total, shared), tasks))
+    else:
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(shared,)
+        ) as pool:
+            partials = list(pool.map(_pooled_slice_total, tasks))
+    totals = []
+    for start in range(0, len(partials), slice_count):
+        parts = partials[start : start + slice_count]
+        totals.append(None if any(part is None for part in parts) else sum(parts, Fraction(0)))
+    return totals
 
 
 def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineResult:
@@ -326,14 +363,19 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     Enumerates the fixed-locus tree classes once, evaluates the graph sum at
     the weight vector of each seed (resampling within a seed's lineage if a
     specialization degenerates), and requires the per-seed totals to agree
-    exactly; the certified common value is returned.  ``jobs > 1`` splits the
-    per-seed sum over worker processes; exact addition commutes, so the result
-    is identical for any worker count.
+    exactly; the certified common value is returned.  The seeds' weight
+    vectors are evaluated together, in rounds: ``jobs > 1`` spreads a round
+    over one pool of worker processes, each vector split into ``jobs``
+    slices of the classes.  A seed whose vector degenerates, or repeats the
+    vector an earlier seed accepted, moves to its next attempt in the next
+    round, so the vectors used are those of evaluating the seeds one by one
+    in order.  Exact addition commutes, so the result is identical for any
+    worker count.
 
     Raises :class:`DimensionMismatch` if the insertions do not cut the
     problem to dimension zero, :class:`ResamplingExhausted` if every weight
-    vector a seed offers degenerates, and :class:`WeightIndependenceFailure`
-    if the per-seed totals disagree.
+    vector a seed offers degenerates (naming the first such seed), and
+    :class:`WeightIndependenceFailure` if the per-seed totals disagree.
     """
     seeds = tuple(int(s) for s in seeds)
     if len(seeds) < 2 or len(set(seeds)) != len(seeds):
@@ -347,26 +389,44 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
             f"insertion codimensions total {supplied} but the problem needs {needed}"
         )
     graphs = tuple(enumerate_graphs(target.ambient_dim, target.curve_degree, 0))
-    totals = []
+    attempts = [0] * len(seeds)
+    # the weight vector drawn at each seed's current attempt, None once the
+    # seed has moved past it
+    candidates = [None] * len(seeds)
+    evaluated = {}  # weights -> total, or None if they degenerate
+    totals = []  # of the seeds accepted so far, a prefix in seed order
     used = set()
-    for seed in seeds:
-        attempt = 0
-        while True:
-            if attempt >= _MAX_RESAMPLE:
-                raise ResamplingExhausted(
-                    f"no admissible weights for seed {seed} after {_MAX_RESAMPLE} attempts"
-                )
-            weights = sample_weights(seed, target.ambient_dim, attempt)
-            if weights.weights in used:
-                attempt += 1
+    while len(totals) < len(seeds):
+        for i in range(len(totals), len(seeds)):
+            if candidates[i] is not None:
                 continue
-            try:
-                total = _total_at(graphs, weights, target, jobs)
-                break
-            except DegenerateWeights:
-                attempt += 1
-        used.add(weights.weights)
-        totals.append(total)
+            if attempts[i] < _MAX_RESAMPLE:
+                candidates[i] = sample_weights(seeds[i], target.ambient_dim, attempts[i])
+            elif i == len(totals):
+                raise ResamplingExhausted(
+                    f"no admissible weights for seed {seeds[i]} after {_MAX_RESAMPLE} attempts"
+                )
+        fresh = {
+            weights.weights: weights
+            for weights in candidates[len(totals) :]
+            if weights is not None and weights.weights not in evaluated
+        }
+        if fresh:
+            evaluated.update(zip(fresh, _totals_at(graphs, target, jobs, list(fresh.values()))))
+        # resolve in seed order: degeneracy is final for any seed, but only a
+        # seed whose predecessors are all accepted can be checked against them
+        for i in range(len(totals), len(seeds)):
+            weights = candidates[i]
+            if weights is None:
+                continue
+            total = evaluated[weights.weights]
+            first = i == len(totals)
+            if total is None or (first and weights.weights in used):
+                attempts[i] += 1
+                candidates[i] = None
+            elif first:
+                used.add(weights.weights)
+                totals.append(total)
     if any(total != totals[0] for total in totals[1:]):
         raise WeightIndependenceFailure(
             f"seed totals disagree: {[str(t) for t in totals]} for seeds {seeds}"

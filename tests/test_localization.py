@@ -9,6 +9,8 @@ from gwlocal import (
     DegenerateWeights,
     DimensionMismatch,
     FixedGraph,
+    ResamplingExhausted,
+    WeightIndependenceFailure,
     WeightVector,
     enumerate_graphs,
     lines_closed_form,
@@ -129,7 +131,9 @@ class TestMarkedVersusFactored:
 class TestCovariance:
     def _total(self, target, weights):
         graphs = tuple(enumerate_graphs(target.ambient_dim, target.curve_degree, 0))
-        return localization._total_at(graphs, weights, target, 1)
+        (total,) = localization._totals_at(graphs, target, 1, [weights])
+        assert total is not None, "weights degenerated"
+        return total
 
     def test_scaling_leaves_total_fixed(self):
         target = CITarget(4, (5,), 2)
@@ -151,7 +155,8 @@ class TestDegeneracy:
         with pytest.raises(DegenerateWeights):
             _Evaluator(w, CITarget(2, (), 2)).summed_value(graph)
 
-    def test_engine_retries_within_seed_lineage(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_engine_retries_within_seed_lineage(self, monkeypatch, jobs):
         target = CITarget(2, (), 2, (2, 2, 2, 2, 2))
         baseline = sum_invariant(target, seeds=(1, 2)).value
         real = localization.sample_weights
@@ -164,9 +169,55 @@ class TestDegeneracy:
             return real(seed, n, attempt)
 
         monkeypatch.setattr(localization, "sample_weights", crooked)
-        result = sum_invariant(target, seeds=(1, 2))
+        result = sum_invariant(target, seeds=(1, 2), jobs=jobs)
         assert result.value == baseline
-        assert (1, 0) in calls and (1, 1) in calls
+        # each (seed, attempt) is drawn once, so traced resample counts hold
+        assert calls.count((1, 0)) == 1 and calls.count((1, 1)) == 1
+        assert sorted(calls) == [(1, 0), (1, 1), (2, 0)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_seed_repeating_an_accepted_vector_moves_on(self, monkeypatch, jobs):
+        target = CITarget(4, (5,), 2)
+        real = localization.sample_weights
+        calls = []
+
+        def crooked(seed, n, attempt=0):
+            calls.append((seed, attempt))
+            if (seed, attempt) == (2, 0):
+                return real(1, n, 0)
+            return real(seed, n, attempt)
+
+        monkeypatch.setattr(localization, "sample_weights", crooked)
+        result = sum_invariant(target, jobs=jobs)
+        assert result.value == Fraction(4876875, 8)
+        assert sorted(calls) == [(1, 0), (2, 0), (2, 1), (3, 0)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_exhaustion_names_the_first_seed_in_order(self, monkeypatch, jobs):
+        # (a, 2a, 3a) meets a third fixed point on a degree-2 edge between
+        # labels 0 and 2, as in the test above, for every a
+        def degenerate(seed, n, attempt=0):
+            a = 1 + attempt + 100 * seed
+            return WeightVector((a, 2 * a, 3 * a))
+
+        monkeypatch.setattr(localization, "sample_weights", degenerate)
+        monkeypatch.setattr(localization, "_MAX_RESAMPLE", 3)
+        with pytest.raises(ResamplingExhausted, match="seed 5 after 3 attempts"):
+            sum_invariant(CITarget(2, (), 3, (2,) * 8), seeds=(5, 3), jobs=jobs)
+
+
+class TestCertification:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_weight_dependent_sum_is_refused(self, monkeypatch, jobs):
+        # patched before the call, so forked pool workers inherit it too
+        real = _Evaluator.summed_value
+
+        def skewed(self, graph):
+            return real(self, graph) + Fraction(1, self.p[0])
+
+        monkeypatch.setattr(_Evaluator, "summed_value", skewed)
+        with pytest.raises(WeightIndependenceFailure, match="seed totals disagree"):
+            sum_invariant(CITarget(4, (5,), 2), seeds=(1, 2), jobs=jobs)
 
 
 class TestInputPolicing:

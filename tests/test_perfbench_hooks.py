@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` records spans by rebinding names in ``localization``,
 ``cache`` and ``cli``.  A rename in the package would break it silently
 until the long ``perfbench/run.py --self-test``; this runs the tracer on one
-small query serially and through the pool.
+small query serially and through the pool, and checks that a pooled call
+starts one pool and samples weights outside it.
 """
 
 import sys
@@ -39,13 +40,30 @@ def test_tracer_records_engine_spans(monkeypatch):
     tracer = tracing.Tracer()
     tracing.instrument(tracer)
     target = CITarget(4, (5,), 2)
+    pools_per_call = {}
     for jobs in (1, 2):
+        before = len(tracer.spans)
         result = localization.sum_invariant(target, seeds=(1, 2), jobs=jobs)
         assert result.value == Fraction(4876875, 8)
+        names = [span[tracing.NAME] for span in tracer.spans[before:]]
+        pools_per_call[jobs] = names.count("localization.pool")
+    # one pool per call at jobs=2, however many seeds it evaluates
+    assert pools_per_call == {1: 0, 2: 1}
 
     names = [span[tracing.NAME] for span in tracer.spans]
     enumerations = [s for s in tracer.spans if s[tracing.NAME] == "graphs.enumerate"]
     assert enumerations
     assert all(s[tracing.ATTRS]["classes"] == 60 for s in enumerations)
     assert "localization.sample_weights" in names
-    assert "localization.pool" in names
+
+    def inside_pool(span):
+        while span[tracing.PARENT] is not None:
+            span = tracer.spans[span[tracing.PARENT]]
+            if span[tracing.NAME] == "localization.pool":
+                return True
+        return False
+
+    # a span nested in the pool's span is lost to its own layer's totals
+    for span in tracer.spans:
+        if span[tracing.NAME] in ("localization.sample_weights", "graphs.enumerate"):
+            assert not inside_pool(span), span[tracing.NAME]
