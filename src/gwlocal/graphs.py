@@ -10,8 +10,11 @@ degrees summing to ``d``, and whose marked points ``1..k`` sit on vertices.
 class together with the order of its decoration-preserving automorphism
 group.  It works per degree-decorated shape: it keeps the labellings that are
 lexicographically least under the shape's automorphisms, so no labelled tree
-is canonicalised, and its order is deterministic.  :func:`canonical_form`
-encodes a single tree canonically, for comparing enumerations.
+is canonicalised, and its order is deterministic.  :func:`decorated_shapes`
+yields the shapes themselves, each with its automorphism order and its
+number of unmarked classes, counted without listing them; the engine sums
+targets without insertions shape by shape.  :func:`canonical_form` encodes a
+single tree canonically, for comparing enumerations.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from operator import add, itemgetter
 __all__ = [
     "FixedGraph",
     "enumerate_graphs",
+    "decorated_shapes",
     "canonical_form",
     "iter_dump_lines",
 ]
@@ -342,6 +346,52 @@ def _automorphisms(edges):
                 used[u] = False
 
     yield from extend(0)
+
+
+def decorated_shapes(n: int, d: int):
+    """Yield ``(edges, aut_order, classes)`` for every degree-decorated shape
+    of degree ``d``: an unlabeled tree with edge degrees summing to ``d``, up
+    to isomorphism, as ``(a, b, degree)`` edges in a preorder numbering rooted
+    at vertex 0, where edge ``i`` joins vertex ``i + 1`` to its parent ``a``.
+
+    ``aut_order`` is the order of the shape's automorphism group and
+    ``classes`` the number of isomorphism classes of its labellings by the
+    ``n + 1`` fixed points of projective ``n``-space (adjacent labels
+    distinct), counted by Burnside's lemma without listing a labelling: an
+    automorphism that reverses an edge fixes no proper labelling, and one
+    that reverses none fixes a vertex, so it fixes ``(n + 1) * n ** (r - 1)``
+    labellings, ``r`` its number of vertex orbits.  Summed over the shapes,
+    ``classes`` is the number of classes ``enumerate_graphs(n, d, 0)``
+    yields.
+
+    EXAMPLES::
+
+        >>> sum(classes for _edges, _aut, classes in decorated_shapes(4, 2))
+        60
+    """
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1, d >= 1")
+    for edges in _decorated_shapes(d):
+        fixed = 0
+        automorphisms = list(_automorphisms(edges))
+        for image in automorphisms:
+            if all(image[a] != b or image[b] != a for a, b, _degree in edges):
+                fixed += (n + 1) * n ** (_cycle_count(image) - 1)
+        yield edges, len(automorphisms), fixed // len(automorphisms)
+
+
+def _cycle_count(image):
+    # number of cycles of the permutation v -> image[v]
+    seen = [False] * len(image)
+    cycles = 0
+    for start in range(len(image)):
+        if not seen[start]:
+            cycles += 1
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = image[v]
+    return cycles
 
 
 def _labelings(edges, num_labels):

@@ -16,6 +16,17 @@ cleared once: a balanced problem makes every tree term homogeneous of degree
 weight vector, built from integer numerators and denominators and reduced
 once, into one ``fractions.Fraction``; totals and results are exact
 ``Fraction`` values.
+
+There are two sums, and the target's insertions alone select between them.
+A target with insertions is summed class by class: the tree classes are
+enumerated once, and each class's term carries the insertions as vertex
+sums.  A target without insertions is summed shape by shape: for each
+degree-decorated shape a dynamic programme over vertex labels adds up the
+terms of all of its labellings at once, so no class is listed, and the class
+count reported with the result is counted by Burnside's lemma.  A
+mark-count state would carry insertions through the same programme, but it
+is far slower than the class sum on point-insertion targets, so those keep
+the class sum.
 """
 
 from __future__ import annotations
@@ -25,9 +36,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
-from .graphs import FixedGraph, enumerate_graphs
+from .graphs import FixedGraph, decorated_shapes, enumerate_graphs
 from .targets import (
     CITarget,
     DimensionQuery,
@@ -124,7 +135,10 @@ class _Evaluator:
 
     Edge factors recur across trees, so they are memoized per (pair, degree);
     the tangent product at each fixed point is computed once per label.
-    Instances are cheap and process-local; each worker builds its own.
+    :meth:`summed_value` evaluates one tree; :meth:`shape_value` sums every
+    labelling of one shape, from the same memoized factors, and shares the
+    tables of equal subtrees across shapes.  Instances are cheap and
+    process-local; each worker builds its own.
     """
 
     def __init__(self, weights: WeightVector, target: CITarget):
@@ -145,6 +159,10 @@ class _Evaluator:
         self._insertion_powers = tuple((w, powers.count(w)) for w in sorted(set(powers)))
         self._bundle_memo = {}
         self._normal_memo = {}
+        self._edge_tables = {}
+        self._flag_tables = {}
+        self._vertex_memo = {}
+        self._subtree_memo = {}
 
     def _bundle_edge(self, a, i, j, de):
         # hypersurface-section weights along one edge:
@@ -263,6 +281,164 @@ class _Evaluator:
             den *= sden**count
         return Fraction(num, den)
 
+    def _edge_table(self, de):
+        # [i][j]: the factor of an edge of degree de between labels i and j,
+        #   -de / (p_i - p_j)^2 * prod_a bundle * normal
+        # (the flag-weight division with one de of the symmetry divisor, as
+        # in summed_value), None on the diagonal
+        table = self._edge_tables.get(de)
+        if table is None:
+            p = self.p
+            table = [[None] * len(p) for _ in p]
+            for i in range(len(p)):
+                for j in range(i + 1, len(p)):
+                    num, den = -de, (p[i] - p[j]) ** 2
+                    for a in self.target.degrees:
+                        bn, bd = self._bundle_edge(a, i, j, de)
+                        num *= bn
+                        den *= bd
+                    nn, nd = self._normal_edge(i, j, de)
+                    table[i][j] = table[j][i] = Fraction(num * nn, den * nd)
+            self._edge_tables[de] = table
+        return table
+
+    def _flag_table(self, de):
+        # [i][j]: the reciprocal weight de / (p_i - p_j) of the flag at a
+        # vertex labelled i on an edge of degree de towards label j
+        table = self._flag_tables.get(de)
+        if table is None:
+            p = self.p
+            table = [
+                [Fraction(de, pi - pj) if i != j else None for j, pj in enumerate(p)]
+                for i, pi in enumerate(p)
+            ]
+            self._flag_tables[de] = table
+        return table
+
+    def _vertex_factor(self, label, e):
+        # (tangent / bundle vertex)^e at a vertex of valence e + 1
+        key = (label, e)
+        value = self._vertex_memo.get(key)
+        if value is None:
+            value = Fraction(self._tangent[label] ** e, self._bundle_vertex[label] ** e)
+            self._vertex_memo[key] = value
+        return value
+
+    def _flag_power(self, label, rest, tables):
+        # the power (sum of reciprocal flag weights)^(val - 3) at a vertex
+        # with the given label, summed over the labels of the subtrees behind
+        # all of its flags but one, as a function of the reciprocal weight x
+        # of that remaining flag: rest lists the subtrees as (child, degree),
+        # and tables[child][label][c] is the sum over a subtree whose root is
+        # labelled c
+        if not rest:
+            return lambda x: 1 / (x * x)
+        if len(rest) == 1:
+            child, de = rest[0]
+            flags = self._flag_table(de)[label]
+            terms = [(value, flags[c]) for c, value in enumerate(tables[child][label]) if c != label]
+
+            def power(x):
+                total = Fraction(0)
+                for value, flag in terms:
+                    weight = x + flag
+                    if not weight:
+                        raise DegenerateWeights(
+                            f"reciprocal flag weights at a vertex labelled {label} summed to zero"
+                        )
+                    total += value / weight
+                return total
+
+            return power
+        # m = val - 3: (x + sum_f x_f)^m = m! [t^m] exp(x t) prod_f exp(x_f t),
+        # and summing over the labels behind flag f turns exp(x_f t) into
+        # sum_j s_f[j] t^j / j!, with s_f[j] the sum of value * x_f^j.  The
+        # product of such series, coefficients scaled by j!, is the binomial
+        # convolution of the s_f
+        m = len(rest) - 2
+        series = [Fraction(1)] + [Fraction(0)] * m
+        for child, de in rest:
+            flags = self._flag_table(de)[label]
+            moments = [Fraction(0)] * (m + 1)
+            for c, value in enumerate(tables[child][label]):
+                if c != label:
+                    for j in range(m + 1):
+                        moments[j] += value
+                        value *= flags[c]
+            series = [
+                sum(comb(k, j) * series[j] * moments[k - j] for j in range(k + 1))
+                for k in range(m + 1)
+            ]
+        coefficients = [comb(m, j) * series[m - j] for j in range(m + 1)]
+
+        def power(x):
+            total = coefficients[m]
+            for coefficient in reversed(coefficients[:m]):
+                total = total * x + coefficient
+            return total
+
+        return power
+
+    def shape_value(self, shape) -> Fraction:
+        """Sum of the contributions of every class of unmarked trees with one
+        degree-decorated shape, for a target without insertions.
+
+        ``shape`` is ``(edges, aut_order, classes)`` as
+        :func:`gwlocal.graphs.decorated_shapes` yields it.  Each class is an
+        orbit of proper labellings under the shape's automorphism group, with
+        the stabiliser as its ``aut_order``, so the classes' sum is the sum
+        of :meth:`summed_value`'s term over every proper labelling, divided
+        by ``aut_order`` (orbit-stabiliser counting).  That sum factors over
+        the tree: rooted at vertex 0 and walked in reverse preorder, a
+        vertex's table holds, per parent label and own label, the sum over
+        its subtree's labellings of its edge factor, its vertex factor and
+        everything below it.  Every factor is the one :meth:`summed_value`
+        multiplies in, so a vector degenerates here exactly when it
+        degenerates on some class of the shape.
+        """
+        edges, aut_order, _classes = shape
+        nv = len(edges) + 1
+        children = [[] for _ in range(nv)]
+        for a, b, de in edges:
+            children[a].append((b, de))
+        labels = range(len(self.p))
+        # a subtree's key is its edge degree and its children's keys; equal
+        # subtrees, in this shape or another, share one table
+        keys = [None] * nv
+        tables = [None] * nv
+        for _a, v, de in reversed(edges):
+            rest = children[v]
+            keys[v] = (de, tuple(sorted(keys[child] for child, _de in rest)))
+            table = self._subtree_memo.get(keys[v])
+            if table is None:
+                factors = self._edge_table(de)
+                flags = self._flag_table(de)
+                # v labelled j below a parent labelled i
+                powers = [self._flag_power(j, rest, tables) for j in labels]
+                table = [
+                    [
+                        factors[i][j] * self._vertex_factor(j, len(rest)) * powers[j](flags[j][i])
+                        if i != j
+                        else None
+                        for j in labels
+                    ]
+                    for i in labels
+                ]
+                self._subtree_memo[keys[v]] = table
+            tables[v] = table
+        # the root's first flag plays the parent flag's part
+        (first, de), *rest = children[0]
+        flags = self._flag_table(de)
+        total = Fraction(0)
+        for i in labels:
+            power = self._flag_power(i, rest, tables)
+            below = sum(
+                (value * power(flags[i][c]) for c, value in enumerate(tables[first][i]) if i != c),
+                Fraction(0),
+            )
+            total += self._vertex_factor(i, len(children[0]) - 1) * below
+        return total / aut_order
+
 
 def lines_closed_form(n: int, degrees, weights: WeightVector) -> Fraction:
     """Degree-1 invariant summed directly over pairs of fixed points.
@@ -301,8 +477,9 @@ class EngineResult:
     target: CITarget
 
 
-# the classes, target and slice count of the call a pool worker serves; set
-# once per worker by the pool's initializer, never in the calling process
+# the term method, its items, the target and the slice count of the call a
+# pool worker serves; set once per worker by the pool's initializer, never in
+# the calling process
 _worker_shared = None
 
 
@@ -312,16 +489,16 @@ def _init_worker(shared):
 
 
 def _slice_total(shared, task):
-    """Sum over one slice of the classes at one weight vector, or ``None`` if
-    the vector degenerates on a class of the slice.  Degeneracy is returned
+    """Sum over one slice of the items at one weight vector, or ``None`` if
+    the vector degenerates on an item of the slice.  Degeneracy is returned
     rather than raised so that one bad vector does not abort a whole map."""
-    graphs, target, slice_count = shared
+    term, items, target, slice_count = shared
     weights, index = task
     evaluator = _Evaluator(weights, target)
     total = Fraction(0)
     try:
-        for graph in graphs[index::slice_count]:
-            total += evaluator.summed_value(graph)
+        for item in items[index::slice_count]:
+            total += term(evaluator, item)
     except DegenerateWeights:
         return None
     return total
@@ -331,17 +508,35 @@ def _pooled_slice_total(task):
     return _slice_total(_worker_shared, task)
 
 
-def _totals_at(graphs, target, jobs, candidates):
-    """Graph-sum totals at each weight vector in ``candidates``, ``None``
-    where a vector degenerates.
+def _summands(target):
+    """The terms of ``target``'s fixed-point sum: the :class:`_Evaluator`
+    method that evaluates one, the items it takes, and the number of tree
+    classes they cover.
 
-    With ``jobs > 1`` and enough classes, one pool evaluates every candidate
-    as ``jobs`` slices; the classes reach each worker once, through the
-    pool's initializer, so a task carries only a weight vector and a slice
-    index.  Otherwise the same tasks run here, through the builtin ``map``.
+    A target with insertions is summed class by class, with
+    :meth:`_Evaluator.summed_value` over :func:`enumerate_graphs`; one
+    without is summed shape by shape, with :meth:`_Evaluator.shape_value`
+    over :func:`decorated_shapes`, which lists no class.
     """
-    slice_count = jobs if jobs > 1 and len(graphs) >= 2 * jobs else 1
-    shared = (graphs, target, slice_count)
+    n, d = target.ambient_dim, target.curve_degree
+    if target.insertions:
+        graphs = tuple(enumerate_graphs(n, d, 0))
+        return _Evaluator.summed_value, graphs, len(graphs)
+    shapes = tuple(decorated_shapes(n, d))
+    return _Evaluator.shape_value, shapes, sum(classes for _e, _a, classes in shapes)
+
+
+def _totals_at(term, items, target, jobs, candidates):
+    """Totals of ``term`` over ``items`` at each weight vector in
+    ``candidates``, ``None`` where a vector degenerates.
+
+    With ``jobs > 1`` and enough items, one pool evaluates every candidate
+    as ``jobs`` slices; the items reach each worker once, through the pool's
+    initializer, so a task carries only a weight vector and a slice index.
+    Otherwise the same tasks run here, through the builtin ``map``.
+    """
+    slice_count = jobs if jobs > 1 and len(items) >= 2 * jobs else 1
+    shared = (term, items, target, slice_count)
     tasks = [(weights, index) for weights in candidates for index in range(slice_count)]
     if slice_count == 1:
         partials = list(map(partial(_slice_total, shared), tasks))
@@ -360,17 +555,21 @@ def _totals_at(graphs, target, jobs, candidates):
 def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineResult:
     """Genus-zero invariant of ``target`` as an exact rational.
 
-    Enumerates the fixed-locus tree classes once, evaluates the graph sum at
-    the weight vector of each seed (resampling within a seed's lineage if a
+    Lists the terms of the fixed-point sum once, evaluates the sum at the
+    weight vector of each seed (resampling within a seed's lineage if a
     specialization degenerates), and requires the per-seed totals to agree
-    exactly; the certified common value is returned.  The seeds' weight
+    exactly; the certified common value is returned.  A target with
+    insertions is summed over its tree classes; one without is summed over
+    its degree-decorated shapes, each shape's labellings at once, and its
+    classes are counted but never listed (see :func:`_summands`).
+    ``graph_count`` is the number of classes either way.  The seeds' weight
     vectors are evaluated together, in rounds: ``jobs > 1`` spreads a round
     over one pool of worker processes, each vector split into ``jobs``
-    slices of the classes.  A seed whose vector degenerates, or repeats the
-    vector an earlier seed accepted, moves to its next attempt in the next
-    round, so the vectors used are those of evaluating the seeds one by one
-    in order.  Exact addition commutes, so the result is identical for any
-    worker count.
+    slices of the classes or shapes.  A seed whose vector degenerates, or
+    repeats the vector an earlier seed accepted, moves to its next attempt in
+    the next round, so the vectors used are those of evaluating the seeds one
+    by one in order.  Exact addition commutes, so the result is identical for
+    any worker count.
 
     Raises :class:`DimensionMismatch` if the insertions do not cut the
     problem to dimension zero, :class:`ResamplingExhausted` if every weight
@@ -388,7 +587,7 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
         raise DimensionMismatch(
             f"insertion codimensions total {supplied} but the problem needs {needed}"
         )
-    graphs = tuple(enumerate_graphs(target.ambient_dim, target.curve_degree, 0))
+    term, items, graph_count = _summands(target)
     attempts = [0] * len(seeds)
     # the weight vector drawn at each seed's current attempt, None once the
     # seed has moved past it
@@ -412,7 +611,9 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
             if weights is not None and weights.weights not in evaluated
         }
         if fresh:
-            evaluated.update(zip(fresh, _totals_at(graphs, target, jobs, list(fresh.values()))))
+            evaluated.update(
+                zip(fresh, _totals_at(term, items, target, jobs, list(fresh.values())))
+            )
         # resolve in seed order: degeneracy is final for any seed, but only a
         # seed whose predecessors are all accepted can be checked against them
         for i in range(len(totals), len(seeds)):
@@ -432,5 +633,5 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
             f"seed totals disagree: {[str(t) for t in totals]} for seeds {seeds}"
         )
     return EngineResult(
-        value=totals[0], graph_count=len(graphs), weight_seeds=seeds, target=target
+        value=totals[0], graph_count=graph_count, weight_seeds=seeds, target=target
     )

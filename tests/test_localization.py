@@ -89,6 +89,18 @@ class TestQuinticDegreeFive:
         assert result.graph_count == 18730
 
 
+class TestQuinticDegreeSix:
+    def test_multiple_cover_sum_of_published_instanton_numbers(self):
+        # genus-zero instanton numbers of the quintic, Candelas, de la Ossa,
+        # Green and Parkes (1991); N_6 = sum over k | 6 of n_(6/k) / k^3
+        instantons = {1: 2875, 2: 609250, 3: 317206375, 6: 248249742118022000}
+        expected = sum(Fraction(n, (6 // d) ** 3) for d, n in instantons.items())
+        assert expected == 248249742157695375
+        result = sum_invariant(CITarget(4, (5,), 6))
+        assert result.value == expected
+        assert result.graph_count == 153720
+
+
 class TestSmallTargets:
     def test_p1_two_marked_points(self):
         result = sum_invariant(CITarget(1, (), 1, (1, 1)))
@@ -130,8 +142,8 @@ class TestMarkedVersusFactored:
 
 class TestCovariance:
     def _total(self, target, weights):
-        graphs = tuple(enumerate_graphs(target.ambient_dim, target.curve_degree, 0))
-        (total,) = localization._totals_at(graphs, target, 1, [weights])
+        term, items, _count = localization._summands(target)
+        (total,) = localization._totals_at(term, items, target, 1, [weights])
         assert total is not None, "weights degenerated"
         return total
 
@@ -207,17 +219,24 @@ class TestDegeneracy:
 
 
 class TestCertification:
+    # the method each target's sum runs through: the quintic has no
+    # insertions (4 shapes at d=3, enough for a pool of 2), the plane cubics
+    # through 8 points have 8 (39 classes)
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_weight_dependent_sum_is_refused(self, monkeypatch, jobs):
+    @pytest.mark.parametrize(
+        "method, target",
+        [("shape_value", CITarget(4, (5,), 3)), ("summed_value", CITarget(2, (), 3, (2,) * 8))],
+    )
+    def test_weight_dependent_sum_is_refused(self, monkeypatch, method, target, jobs):
         # patched before the call, so forked pool workers inherit it too
-        real = _Evaluator.summed_value
+        real = getattr(_Evaluator, method)
 
-        def skewed(self, graph):
-            return real(self, graph) + Fraction(1, self.p[0])
+        def skewed(self, item):
+            return real(self, item) + Fraction(1, self.p[0])
 
-        monkeypatch.setattr(_Evaluator, "summed_value", skewed)
+        monkeypatch.setattr(_Evaluator, method, skewed)
         with pytest.raises(WeightIndependenceFailure, match="seed totals disagree"):
-            sum_invariant(CITarget(4, (5,), 2), seeds=(1, 2), jobs=jobs)
+            sum_invariant(target, seeds=(1, 2), jobs=jobs)
 
 
 class TestInputPolicing:
@@ -240,10 +259,11 @@ class TestInputPolicing:
 
 class TestParallel:
     def test_worker_count_is_invisible(self):
-        # plane cubics through 8 points run the per-insertion vertex sums
-        # inside the pool workers
+        # the quintic at d=3 runs the shape sum, and plane cubics through 8
+        # points the per-insertion vertex sums, inside the pool workers
         for target, value, classes in [
             (CITarget(4, (5,), 2), Fraction(4876875, 8), 60),
+            (CITarget(4, (5,), 3), Fraction(8564575000, 27), 350),
             (CITarget(2, (), 3, (2,) * 8), 12, 39),
         ]:
             serial = sum_invariant(target, seeds=(1, 2))

@@ -3,8 +3,9 @@
 ``perfbench/tracing.py`` records spans by rebinding names in ``localization``,
 ``cache`` and ``cli``.  A rename in the package would break it silently
 until the long ``perfbench/run.py --self-test``; this runs the tracer on one
-small query serially and through the pool, and checks that a pooled call
-starts one pool and samples weights outside it.
+query by shape and one by class, serially and through the pool, and checks
+that a pooled call starts one pool, that only the class sum enumerates
+classes, and that weights are sampled outside the pool.
 """
 
 import sys
@@ -39,22 +40,30 @@ def test_tracer_records_engine_spans(monkeypatch):
 
     tracer = tracing.Tracer()
     tracing.instrument(tracer)
-    target = CITarget(4, (5,), 2)
-    pools_per_call = {}
-    for jobs in (1, 2):
+
+    def call(target, value, jobs):
+        # the spans one call records
         before = len(tracer.spans)
         result = localization.sum_invariant(target, seeds=(1, 2), jobs=jobs)
-        assert result.value == Fraction(4876875, 8)
-        names = [span[tracing.NAME] for span in tracer.spans[before:]]
+        assert result.value == value
+        return tracer.spans[before:]
+
+    # the quintic has no insertions and is summed by shape (4 at d=3), so it
+    # enumerates no class; one pool per call at jobs=2, however many seeds
+    # it evaluates
+    quintic = CITarget(4, (5,), 3)
+    pools_per_call = {}
+    for jobs in (1, 2):
+        names = [span[tracing.NAME] for span in call(quintic, Fraction(8564575000, 27), jobs)]
+        assert "graphs.enumerate" not in names
+        assert "localization.sample_weights" in names
         pools_per_call[jobs] = names.count("localization.pool")
-    # one pool per call at jobs=2, however many seeds it evaluates
     assert pools_per_call == {1: 0, 2: 1}
 
-    names = [span[tracing.NAME] for span in tracer.spans]
-    enumerations = [s for s in tracer.spans if s[tracing.NAME] == "graphs.enumerate"]
-    assert enumerations
-    assert all(s[tracing.ATTRS]["classes"] == 60 for s in enumerations)
-    assert "localization.sample_weights" in names
+    # plane cubics through 8 points are summed by class
+    spans = call(CITarget(2, (), 3, (2,) * 8), 12, 2)
+    enumerations = [s for s in spans if s[tracing.NAME] == "graphs.enumerate"]
+    assert [s[tracing.ATTRS]["classes"] for s in enumerations] == [39]
 
     def inside_pool(span):
         while span[tracing.PARENT] is not None:

@@ -5,14 +5,17 @@ Both must yield the same isomorphism classes with the same automorphism
 orders.  The package picks a different representative of each class and a
 different order, so the comparison is between multisets of
 ``(canonical_form, aut_order)``; a class yielded twice would show as a
-multiplicity above one.
+multiplicity above one.  The package's Burnside count of classes per shape,
+which lists none, must match the reference's count too.
 """
 
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
 from gwlocal import canonical_form, enumerate_graphs
+from gwlocal.graphs import decorated_shapes
 
 import reference_graphs
 
@@ -31,9 +34,15 @@ def _classes(graphs):
     return Counter((canonical_form(g), g.aut_order) for g in graphs)
 
 
+@lru_cache(maxsize=None)
+def _reference_classes(n, d, k):
+    # the class-count test shares the reference's costliest cells
+    return _classes(reference_graphs.enumerate_graphs(n, d, k))
+
+
 def assert_same_classes(n, d, k):
     ours = _classes(enumerate_graphs(n, d, k))
-    assert ours == _classes(reference_graphs.enumerate_graphs(n, d, k))
+    assert ours == _reference_classes(n, d, k)
     assert set(ours.values()) == {1}
     return ours
 
@@ -45,3 +54,12 @@ def test_same_classes_as_reference(n, d, k):
 
 def test_quintic_degree_five():
     assert sum(assert_same_classes(4, 5, 0).values()) == 18730
+
+
+@pytest.mark.parametrize(
+    "n, d", [(n, d) for n in range(1, 5) for d in range(1, 6)] + [(7, d) for d in range(1, 4)]
+)
+def test_burnside_class_count_matches_reference(n, d):
+    # the engine's graph_count for a target without insertions lists no class
+    counted = sum(classes for _edges, _aut, classes in decorated_shapes(n, d))
+    assert counted == sum(_reference_classes(n, d, 0).values())
