@@ -219,24 +219,25 @@ class TestDegeneracy:
 
 
 class TestCertification:
-    # the method each target's sum runs through: the quintic has no
-    # insertions (4 shapes at d=3, enough for a pool of 2), the plane cubics
-    # through 8 points have 8 (39 classes)
     @pytest.mark.parametrize("jobs", [1, 2])
-    @pytest.mark.parametrize(
-        "method, target",
-        [("shape_value", CITarget(4, (5,), 3)), ("summed_value", CITarget(2, (), 3, (2,) * 8))],
-    )
-    def test_weight_dependent_sum_is_refused(self, monkeypatch, method, target, jobs):
-        # patched before the call, so forked pool workers inherit it too
-        real = getattr(_Evaluator, method)
+    def test_weight_dependent_sum_is_refused(self, monkeypatch, jobs):
+        # each sum skewed through the method its target runs: the quintic has
+        # no insertions and is summed by shape (4 at d=3, enough for a pool
+        # of 2), the plane cubics through 8 points by class (39)
+        for method, target in [
+            ("shape_value", CITarget(4, (5,), 3)),
+            ("summed_value", CITarget(2, (), 3, (2,) * 8)),
+        ]:
+            real = getattr(_Evaluator, method)
 
-        def skewed(self, item):
-            return real(self, item) + Fraction(1, self.p[0])
+            def skewed(self, item, real=real):
+                return real(self, item) + Fraction(1, self.p[0])
 
-        monkeypatch.setattr(_Evaluator, method, skewed)
-        with pytest.raises(WeightIndependenceFailure, match="seed totals disagree"):
-            sum_invariant(target, seeds=(1, 2), jobs=jobs)
+            # patched before the call, so forked pool workers inherit it too
+            with monkeypatch.context() as patch:
+                patch.setattr(_Evaluator, method, skewed)
+                with pytest.raises(WeightIndependenceFailure, match="seed totals disagree"):
+                    sum_invariant(target, seeds=(1, 2), jobs=jobs)
 
 
 class TestInputPolicing:
