@@ -5,7 +5,8 @@ functions of the canonical query encoding and the engine version, so results
 computed by older engines are never served for a newer one.  Writes go to a
 temporary file in the cache directory and are renamed into place, so a
 concurrent reader never sees a partial record; a record that cannot be parsed
-anyway is treated as a miss and rewritten by the next store.  Values are
+anyway, or that storing it again would not write back unchanged, is treated as
+a miss and rewritten by the next store.  Values are
 stored as decimal numerator/denominator strings; no floats touch the records.
 """
 
@@ -96,31 +97,37 @@ class ResultCache:
     def get(self, key: str):
         """The record stored under ``key``, or None on a miss.
 
-        A record that cannot be read or parsed counts as a miss: a note
-        naming the file goes to stderr, and the caller's next :meth:`put`
-        replaces it.
+        A record that cannot be read or parsed counts as a miss, and so does
+        one that :meth:`put` would not write back as it is, such as one whose
+        fields have the wrong types: a note naming the file goes to stderr,
+        and the caller's next :meth:`put` replaces it.
         """
         path = self.path_for(key)
         if not path.exists():
             return None
         try:
-            document = json.loads(path.read_text(encoding="ascii"))
+            text = path.read_text(encoding="ascii")
+            document = json.loads(text)
             if document["key"] != key:
                 raise ValueError(f"record holds key {document['key']!r}")
-            return CacheRecord(
-                key=document["key"],
+            record = CacheRecord(
+                key=key,
                 query=document["query"],
                 value=Fraction(int(document["value"]["num"]), int(document["value"]["den"])),
-                seeds=tuple(document["seeds"]),
-                graph_count=document["graph_count"],
+                seeds=tuple(map(int, document["seeds"])),
+                graph_count=int(document["graph_count"]),
                 engine_version=document["engine_version"],
                 created_at=document["created_at"],
             )
+            if self._payload(record) != text:
+                raise ValueError("record is not as storing it would write it")
+            return record
         except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             print(f"gwlocal: ignoring unreadable cache record {path}: {exc!r}", file=sys.stderr)
             return None
 
-    def put(self, record: CacheRecord) -> None:
+    @staticmethod
+    def _payload(record: CacheRecord) -> str:
         document = {
             "key": record.key,
             "query": record.query,
@@ -133,7 +140,10 @@ class ResultCache:
             "engine_version": record.engine_version,
             "created_at": record.created_at,
         }
-        payload = json.dumps(document, sort_keys=True, indent=1)
+        return json.dumps(document, sort_keys=True, indent=1)
+
+    def put(self, record: CacheRecord) -> None:
+        payload = self._payload(record)
         fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="ascii") as handle:

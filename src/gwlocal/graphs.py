@@ -6,22 +6,26 @@ labels in ``0..n`` (adjacent labels distinct, since an edge covers the
 coordinate line joining two distinct fixed points), whose edges carry covering
 degrees summing to ``d``, and whose marked points ``1..k`` sit on vertices.
 
-:func:`enumerate_graphs` yields exactly one representative per isomorphism
-class together with the order of its decoration-preserving automorphism
-group.  It works per degree-decorated shape: it keeps the labellings that are
-lexicographically least under the shape's automorphisms, so no labelled tree
-is canonicalised, and its order is deterministic.  :func:`decorated_shapes`
-yields the shapes themselves, each with its automorphism order and its
-number of unmarked classes, counted without listing them; the engine sums
-targets without insertions shape by shape.  :func:`canonical_form` encodes a
-single tree canonically, for comparing enumerations.
+:func:`decorated_shapes` yields the degree-decorated shapes (unlabeled
+trees with edge degrees), each generated once as a canonical rooted tuple of
+branches, with its automorphism order and its number of unmarked classes;
+both are counted from the multiplicities of equal branches, without listing
+an automorphism or a labelling.  The engine sums targets without insertions
+shape by shape over this rooted form.  :func:`enumerate_graphs` yields
+exactly one representative per isomorphism class together with the order of
+its decoration-preserving automorphism group.  It works per shape: it lists
+the shape's automorphisms and keeps the labellings that are lexicographically
+least under them, so no labelled tree is canonicalised, and its order is
+deterministic.  :func:`canonical_form` encodes a single tree canonically, for
+comparing enumerations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import factorial
+from functools import cache
+from itertools import groupby, product
+from math import comb, factorial
 from operator import add, itemgetter
 
 __all__ = [
@@ -109,92 +113,6 @@ class FixedGraph:
         key, aut = _canonical_key_aut(self.labels(), self.edges, [marks for _l, marks in self.vertices])
         if aut != self.aut_order:
             raise ValueError("stored automorphism order disagrees with recomputation")
-
-
-# ---------------------------------------------------------------------------
-# Free (unlabeled) trees, by successor iteration on canonical level sequences.
-
-
-def _next_rooted_layout(predecessor, p=None):
-    if p is None:
-        p = len(predecessor) - 1
-        while predecessor[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
-    q = p - 1
-    while predecessor[q] != predecessor[p] - 1:
-        q -= 1
-    result = list(predecessor)
-    for i in range(p, len(result)):
-        result[i] = result[i - p + q]
-    return result
-
-
-def _split_layout(layout):
-    one_found = False
-    m = None
-    for i in range(len(layout)):
-        if layout[i] == 1:
-            if one_found:
-                m = i
-                break
-            one_found = True
-    if m is None:
-        m = len(layout)
-    left = [layout[i] - 1 for i in range(1, m)]
-    rest = [0] + [layout[i] for i in range(m, len(layout))]
-    return left, rest
-
-
-def _next_free_layout(candidate):
-    # valid iff the root's left subtree is no higher (and no bigger, and not
-    # lexicographically later) than the remainder; otherwise jump ahead
-    left, rest = _split_layout(candidate)
-    left_height = max(left)
-    rest_height = max(rest)
-    valid = rest_height >= left_height
-    if valid and rest_height == left_height:
-        if len(left) > len(rest):
-            valid = False
-        elif len(left) == len(rest) and left > rest:
-            valid = False
-    if valid:
-        return candidate
-    p = len(left)
-    new_candidate = _next_rooted_layout(candidate, p)
-    if candidate[p] > 2:
-        new_left, _new_rest = _split_layout(new_candidate)
-        suffix = range(1, max(new_left) + 2)
-        new_candidate[-len(suffix):] = suffix
-    return new_candidate
-
-
-def _layout_to_edges(layout):
-    edges = []
-    stack = []
-    for i, level in enumerate(layout):
-        while stack and layout[stack[-1]] >= level:
-            stack.pop()
-        if stack:
-            edges.append((stack[-1], i))
-        stack.append(i)
-    return edges
-
-
-def _free_trees(order):
-    """Yield the edge list of every unlabeled tree on ``order`` vertices."""
-    if order < 2:
-        raise ValueError("need at least two vertices")
-    if order == 2:
-        yield [(0, 1)]
-        return
-    layout = list(range(order // 2 + 1)) + list(range(1, (order + 1) // 2))
-    while layout is not None:
-        layout = _next_free_layout(layout)
-        if layout is not None:
-            yield _layout_to_edges(layout)
-            layout = _next_rooted_layout(layout)
 
 
 # ---------------------------------------------------------------------------
@@ -287,32 +205,127 @@ def canonical_form(graph: FixedGraph) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# Degree-decorated shapes, as rooted tuples (see decorated_shapes).  A
+# bicentral shape's last branch is its smaller half, so the shape is symmetric
+# about its central edge exactly when its other branches equal that half.
+
+
+@cache
+def _rooted_shapes(total):
+    # every rooted shape whose edge degrees sum to `total`, as a multiset of
+    # branches drawn in order of their degree sums
+    branches = [
+        (size, (degree, below))
+        for size in range(1, total + 1)
+        for degree in range(1, size + 1)
+        for below in _rooted_shapes(size - degree)
+    ]
+    shapes = []
+
+    def extend(shape, start, left):
+        if not left:
+            shapes.append(tuple(sorted(shape)))
+        for index in range(start, len(branches)):
+            size, branch = branches[index]
+            if size > left:
+                break
+            extend(shape + (branch,), index, left - size)
+
+    extend((), 0, total)
+    return tuple(shapes)
+
+
+@cache
+def _height(shape):
+    return max((1 + _height(below) for _degree, below in shape), default=0)
+
+
+@cache
+def _shapes(d):
+    # every shape of degree d once: a center's two highest branches are
+    # equally high, and two centers join halves of equal height
+    shapes = []
+    for shape in _rooted_shapes(d):
+        heights = sorted(_height(below) for _degree, below in shape)
+        if len(heights) > 1 and heights[-1] == heights[-2]:
+            shapes.append(shape)
+    for large in range(d):
+        for small in range(min(large, d - 1 - large) + 1):
+            for larger in _rooted_shapes(large):
+                for smaller in _rooted_shapes(small):
+                    if _height(larger) == _height(smaller) and (small < large or smaller <= larger):
+                        shapes.append(larger + ((d - large - small, smaller),))
+    return tuple(shapes)
+
+
+def decorated_shapes(n: int, d: int):
+    """Yield ``(shape, aut_order, classes)`` for every degree-decorated shape
+    of degree ``d``: an unlabeled tree with edge degrees summing to ``d``, up
+    to isomorphism.  ``shape`` is the tree rooted at its center, as the sorted
+    tuple of its ``(edge degree, subtree)`` branches, each subtree again such
+    a tuple and a leaf ``()``.  A tree with two centers is rooted in the larger
+    half (by degree sum, then in tuple order), with the smaller as its last
+    branch.
+
+    ``aut_order`` is the order of the shape's automorphism group and
+    ``classes`` the number of isomorphism classes of its labellings by the
+    ``n + 1`` fixed points of projective ``n``-space (adjacent labels
+    distinct).  Both come from multiplicities of equal branches, listing no
+    automorphism or labelling: ``m`` equal branches with subtree ``S`` give
+    ``m! * aut(S) ** m``, and ``comb(n * N(S) + m - 1, m)`` multisets of
+    labellings, ``N(S)`` the classes of ``S`` with its root label given; the
+    center takes any of ``n + 1`` labels.  Equal halves about a central edge
+    double the automorphisms and halve the classes, as the swap moves a
+    center's label.  Summed over the shapes, ``classes`` is the number of
+    classes ``enumerate_graphs(n, d, 0)`` yields.
+
+    EXAMPLES::
+
+        >>> sum(classes for _shape, _aut, classes in decorated_shapes(4, 2))
+        60
+        >>> [(shape, aut) for shape, aut, _classes in decorated_shapes(4, 2)]
+        [(((1, ()), (1, ())), 2), (((2, ()),), 2)]
+    """
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1, d >= 1")
+
+    @cache
+    def symmetries(shape):
+        # (automorphisms fixing the root, classes with the root label given)
+        aut = classes = 1
+        for branch, run in groupby(shape):
+            m = len(tuple(run))
+            below_aut, below_classes = symmetries(branch[1])
+            aut *= factorial(m) * below_aut**m
+            classes *= comb(n * below_classes + m - 1, m)
+        return aut, classes
+
+    for shape in _shapes(d):
+        aut, classes = symmetries(shape)
+        classes *= n + 1
+        *others, (_degree, last) = shape
+        if tuple(others) == last:
+            aut *= 2
+            classes //= 2
+        yield shape, aut, classes
+
+
+# ---------------------------------------------------------------------------
 # Enumeration.
 
 
-def _compositions(total, parts):
-    # ordered tuples of positive integers summing to total
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _preorder_edges(shape):
+    # the shape's (a, b, degree) edges in a preorder numbering from the root,
+    # vertex 0: edge i joins vertex i + 1 to its parent a
+    edges = []
 
+    def walk(shape, parent):
+        for degree, below in shape:
+            edges.append((parent, len(edges) + 1, degree))
+            walk(below, len(edges))
 
-def _decorated_shapes(d):
-    # every unlabeled tree with positive edge degrees summing to d, once per
-    # isomorphism class, as (a, b, degree) edges in a preorder numbering
-    # rooted at vertex 0: edge i joins vertex i + 1 to its parent a
-    seen = set()
-    for nv in range(2, d + 2):
-        for tree in _free_trees(nv):
-            for degrees in _compositions(d, nv - 1):
-                edges = tuple((a, b, g) for (a, b), g in zip(tree, degrees))
-                key, _aut = _canonical_key_aut((0,) * nv, edges, [()] * nv)
-                if key not in seen:
-                    seen.add(key)
-                    yield edges
+    walk(shape, 0)
+    return tuple(edges)
 
 
 def _automorphisms(edges):
@@ -348,52 +361,6 @@ def _automorphisms(edges):
     yield from extend(0)
 
 
-def decorated_shapes(n: int, d: int):
-    """Yield ``(edges, aut_order, classes)`` for every degree-decorated shape
-    of degree ``d``: an unlabeled tree with edge degrees summing to ``d``, up
-    to isomorphism, as ``(a, b, degree)`` edges in a preorder numbering rooted
-    at vertex 0, where edge ``i`` joins vertex ``i + 1`` to its parent ``a``.
-
-    ``aut_order`` is the order of the shape's automorphism group and
-    ``classes`` the number of isomorphism classes of its labellings by the
-    ``n + 1`` fixed points of projective ``n``-space (adjacent labels
-    distinct), counted by Burnside's lemma without listing a labelling: an
-    automorphism that reverses an edge fixes no proper labelling, and one
-    that reverses none fixes a vertex, so it fixes ``(n + 1) * n ** (r - 1)``
-    labellings, ``r`` its number of vertex orbits.  Summed over the shapes,
-    ``classes`` is the number of classes ``enumerate_graphs(n, d, 0)``
-    yields.
-
-    EXAMPLES::
-
-        >>> sum(classes for _edges, _aut, classes in decorated_shapes(4, 2))
-        60
-    """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1, d >= 1")
-    for edges in _decorated_shapes(d):
-        fixed = 0
-        automorphisms = list(_automorphisms(edges))
-        for image in automorphisms:
-            if all(image[a] != b or image[b] != a for a, b, _degree in edges):
-                fixed += (n + 1) * n ** (_cycle_count(image) - 1)
-        yield edges, len(automorphisms), fixed // len(automorphisms)
-
-
-def _cycle_count(image):
-    # number of cycles of the permutation v -> image[v]
-    seen = [False] * len(image)
-    cycles = 0
-    for start in range(len(image)):
-        if not seen[start]:
-            cycles += 1
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                v = image[v]
-    return cycles
-
-
 def _labelings(edges, num_labels):
     # every vertex-label tuple with adjacent labels distinct (each vertex
     # after the root differs from its parent), in lexicographic order
@@ -427,14 +394,15 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
     degree-``d`` fixed loci in projective ``n``-space with ``k`` marks.
 
     Each degree-decorated shape (an unlabeled tree with edge degrees, up to
-    isomorphism) is built once, with its automorphism group.  A labelling
-    and mark placement of the shape is kept exactly when it is
-    lexicographically least in its orbit under that group, and its
-    stabiliser order is the class's ``aut_order``; no labelled tree is ever
-    canonicalised.  Classes appear in a deterministic order: shapes by vertex
-    count, then labellings and mark placements in generation order.  The
-    cost grows like ``num_vertices ** k`` in the mark count, so enumerate
-    with ``k = 0`` and handle marks analytically when many marks are needed.
+    isomorphism) is taken once, numbered in preorder from its root, and its
+    automorphism group is listed.  A labelling and mark placement of the
+    shape is kept exactly when it is lexicographically least in its orbit
+    under that group, and its stabiliser order is the class's ``aut_order``;
+    no labelled tree is ever canonicalised.  Classes appear in a
+    deterministic order: shapes as :func:`decorated_shapes` yields them, then
+    labellings and mark placements in generation order.  The cost grows like
+    ``num_vertices ** k`` in the mark count, so enumerate with ``k = 0`` and
+    handle marks analytically when many marks are needed.
 
     EXAMPLES::
 
@@ -445,7 +413,8 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
     """
     if n < 1 or d < 1 or k < 0:
         raise ValueError("need n >= 1, d >= 1, k >= 0")
-    for edges in _decorated_shapes(d):
+    for shape in _shapes(d):
+        edges = _preorder_edges(shape)
         nv = len(edges) + 1
         identity = tuple(range(nv))
         images = [itemgetter(*perm) for perm in _automorphisms(edges) if perm != identity]

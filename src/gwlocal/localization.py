@@ -23,10 +23,10 @@ enumerated once, and each class's term carries the insertions as vertex
 sums.  A target without insertions is summed shape by shape: for each
 degree-decorated shape a dynamic programme over vertex labels adds up the
 terms of all of its labellings at once, so no class is listed, and the class
-count reported with the result is counted by Burnside's lemma.  A
-mark-count state would carry insertions through the same programme, but it
-is far slower than the class sum on point-insertion targets, so those keep
-the class sum.
+count reported with the result comes from the multiplicities of equal
+branches in each shape.  A mark-count state would carry insertions through
+the same programme, but it is far slower than the class sum on
+point-insertion targets, so those keep the class sum.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ class _Evaluator:
         self._edge_tables = {}
         self._flag_tables = {}
         self._vertex_memo = {}
-        self._subtree_memo = {}
+        self._branch_tables = {}
 
     def _bundle_edge(self, a, i, j, de):
         # hypersurface-section weights along one edge:
@@ -324,19 +324,21 @@ class _Evaluator:
             self._vertex_memo[key] = value
         return value
 
-    def _flag_power(self, label, rest, tables):
+    def _flag_power(self, label, rest):
         # the power (sum of reciprocal flag weights)^(val - 3) at a vertex
-        # with the given label, summed over the labels of the subtrees behind
+        # with the given label, summed over the labels of the branches behind
         # all of its flags but one, as a function of the reciprocal weight x
-        # of that remaining flag: rest lists the subtrees as (child, degree),
-        # and tables[child][label][c] is the sum over a subtree whose root is
-        # labelled c
+        # of that remaining flag: rest lists those branches
         if not rest:
             return lambda x: 1 / (x * x)
         if len(rest) == 1:
-            child, de = rest[0]
-            flags = self._flag_table(de)[label]
-            terms = [(value, flags[c]) for c, value in enumerate(tables[child][label]) if c != label]
+            (branch,) = rest
+            flags = self._flag_table(branch[0])[label]
+            terms = [
+                (value, flags[c])
+                for c, value in enumerate(self._branch_table(branch)[label])
+                if c != label
+            ]
 
             def power(x):
                 total = Fraction(0)
@@ -357,10 +359,10 @@ class _Evaluator:
         # convolution of the s_f
         m = len(rest) - 2
         series = [Fraction(1)] + [Fraction(0)] * m
-        for child, de in rest:
-            flags = self._flag_table(de)[label]
+        for branch in rest:
+            flags = self._flag_table(branch[0])[label]
             moments = [Fraction(0)] * (m + 1)
-            for c, value in enumerate(tables[child][label]):
+            for c, value in enumerate(self._branch_table(branch)[label]):
                 if c != label:
                     for j in range(m + 1):
                         moments[j] += value
@@ -379,64 +381,61 @@ class _Evaluator:
 
         return power
 
+    def _branch_table(self, branch):
+        # [i][j]: the sum, over the labellings of the branch's subtree whose
+        # root is labelled j below a parent labelled i, of its edge factor,
+        # its root's vertex factor and flag power, and everything below; None
+        # on the diagonal.  Equal branches, in one shape or several, share
+        # one table
+        table = self._branch_tables.get(branch)
+        if table is None:
+            de, below = branch
+            factors = self._edge_table(de)
+            flags = self._flag_table(de)
+            labels = range(len(self.p))
+            powers = [self._flag_power(j, below) for j in labels]
+            table = [
+                [
+                    factors[i][j] * self._vertex_factor(j, len(below)) * powers[j](flags[j][i])
+                    if i != j
+                    else None
+                    for j in labels
+                ]
+                for i in labels
+            ]
+            self._branch_tables[branch] = table
+        return table
+
     def shape_value(self, shape) -> Fraction:
         """Sum of the contributions of every class of unmarked trees with one
         degree-decorated shape, for a target without insertions.
 
-        ``shape`` is ``(edges, aut_order, classes)`` as
-        :func:`gwlocal.graphs.decorated_shapes` yields it.  Each class is an
-        orbit of proper labellings under the shape's automorphism group, with
-        the stabiliser as its ``aut_order``, so the classes' sum is the sum
-        of :meth:`summed_value`'s term over every proper labelling, divided
-        by ``aut_order`` (orbit-stabiliser counting).  That sum factors over
-        the tree: rooted at vertex 0 and walked in reverse preorder, a
-        vertex's table holds, per parent label and own label, the sum over
-        its subtree's labellings of its edge factor, its vertex factor and
-        everything below it.  Every factor is the one :meth:`summed_value`
-        multiplies in, so a vector degenerates here exactly when it
-        degenerates on some class of the shape.
+        ``shape`` is ``(tree, aut_order, classes)`` as
+        :func:`gwlocal.graphs.decorated_shapes` yields it, the tree a rooted
+        tuple of ``(edge degree, subtree)`` branches.  Each class is an orbit
+        of proper labellings under the shape's automorphism group, with the
+        stabiliser as its ``aut_order``, so the classes' sum is the sum of
+        :meth:`summed_value`'s term over every proper labelling, divided by
+        ``aut_order`` (orbit-stabiliser counting).  That sum factors over the
+        rooted tree: a branch's table holds, per parent label and own label,
+        the sum over its subtree's labellings of its edge factor, its vertex
+        factor and everything below it.  Every factor is the one
+        :meth:`summed_value` multiplies in, so a vector degenerates here
+        exactly when it degenerates on some class of the shape.
         """
-        edges, aut_order, _classes = shape
-        nv = len(edges) + 1
-        children = [[] for _ in range(nv)]
-        for a, b, de in edges:
-            children[a].append((b, de))
-        labels = range(len(self.p))
-        # a subtree's key is its edge degree and its children's keys; equal
-        # subtrees, in this shape or another, share one table
-        keys = [None] * nv
-        tables = [None] * nv
-        for _a, v, de in reversed(edges):
-            rest = children[v]
-            keys[v] = (de, tuple(sorted(keys[child] for child, _de in rest)))
-            table = self._subtree_memo.get(keys[v])
-            if table is None:
-                factors = self._edge_table(de)
-                flags = self._flag_table(de)
-                # v labelled j below a parent labelled i
-                powers = [self._flag_power(j, rest, tables) for j in labels]
-                table = [
-                    [
-                        factors[i][j] * self._vertex_factor(j, len(rest)) * powers[j](flags[j][i])
-                        if i != j
-                        else None
-                        for j in labels
-                    ]
-                    for i in labels
-                ]
-                self._subtree_memo[keys[v]] = table
-            tables[v] = table
+        tree, aut_order, _classes = shape
         # the root's first flag plays the parent flag's part
-        (first, de), *rest = children[0]
-        flags = self._flag_table(de)
+        first, *rest = tree
+        table = self._branch_table(first)
+        flags = self._flag_table(first[0])
         total = Fraction(0)
-        for i in labels:
-            power = self._flag_power(i, rest, tables)
+        for i in range(len(self.p)):
+            power = self._flag_power(i, rest)
             below = sum(
-                (value * power(flags[i][c]) for c, value in enumerate(tables[first][i]) if i != c),
+                (value * power(flags[i][c]) for c, value in enumerate(table[i]) if i != c),
                 Fraction(0),
             )
-            total += self._vertex_factor(i, len(children[0]) - 1) * below
+            total += self._vertex_factor(i, len(tree) - 1) * below
         return total / aut_order
 
 
@@ -523,7 +522,7 @@ def _summands(target):
         graphs = tuple(enumerate_graphs(n, d, 0))
         return _Evaluator.summed_value, graphs, len(graphs)
     shapes = tuple(decorated_shapes(n, d))
-    return _Evaluator.shape_value, shapes, sum(classes for _e, _a, classes in shapes)
+    return _Evaluator.shape_value, shapes, sum(classes for _tree, _aut, classes in shapes)
 
 
 def _totals_at(term, items, target, jobs, candidates):

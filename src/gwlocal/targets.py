@@ -77,9 +77,9 @@ class CITarget:
     insertions: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(a) for a in self.degrees))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
         normalized = tuple(
-            item if isinstance(item, Insertion) else Insertion(int(item)) for item in self.insertions
+            item if isinstance(item, Insertion) else Insertion(item) for item in self.insertions
         )
         object.__setattr__(self, "insertions", normalized)
         n = self.ambient_dim
@@ -87,6 +87,8 @@ class CITarget:
             raise ValueError("ambient dimension must be a positive integer")
         if not isinstance(self.curve_degree, int) or self.curve_degree < 1:
             raise ValueError("curve degree must be a positive integer")
+        if not all(isinstance(a, int) for a in self.degrees):
+            raise ValueError("hypersurface degrees must be integers")
         if any(a < 0 for a in self.degrees):
             raise ValueError("hypersurface degrees must be nonnegative")
         if len(self.degrees) >= n:

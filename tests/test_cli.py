@@ -200,16 +200,33 @@ class TestCache:
         key = cache_key(json.loads(first)["query"], ENGINE_VERSION)
         record_path = Path(cache_dir) / f"{key}.json"
         text = record_path.read_text()
-        record_path.write_text(text[: len(text) // 2])
-        code, second, err = run(capsys, *argv)
-        assert code == 0
-        assert second == first
-        assert str(record_path) in err
-        assert "cache hit" not in err
-        assert json.loads(record_path.read_text())["value"] == {"num": "2875", "den": "1"}
-        code, _out, err = run(capsys, *argv)
-        assert code == 0
-        assert "cache hit" in err
+        record = json.loads(text)
+        assert json.dumps(record, sort_keys=True, indent=1) == text
+
+        # a truncated file, and records laid out as stored but with fields of
+        # the wrong types; served, "seeds": "99" would print as seeds 9 and 9
+        corruptions = [text[: len(text) // 2]] + [
+            json.dumps({**record, **fields}, sort_keys=True, indent=1)
+            for fields in (
+                {"graph_count": "lots"},
+                {"seeds": "99"},
+                {"seeds": [1, "2", 3]},
+                {"graph_count": True},
+                {"value": {"num": 2875, "den": 1}},
+                {"value": {"num": "2875", "den": 1.0}},
+            )
+        ]
+        for corrupt in corruptions:
+            record_path.write_text(corrupt)
+            code, second, err = run(capsys, *argv)
+            assert code == 0
+            assert second == first
+            assert str(record_path) in err
+            assert "cache hit" not in err
+            assert json.loads(record_path.read_text())["value"] == {"num": "2875", "den": "1"}
+            code, _out, err = run(capsys, *argv)
+            assert code == 0
+            assert "cache hit" in err
 
     def test_key_depends_on_engine_version(self):
         query = {"kind": "genus0", "ambient_dim": 4}

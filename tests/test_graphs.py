@@ -1,9 +1,9 @@
-"""Decorated-tree enumeration, canonical forms, automorphism orders."""
+"""Decorated-tree enumeration, shapes, canonical forms, automorphism orders."""
 
 import pytest
 
 from gwlocal import FixedGraph, canonical_form, enumerate_graphs
-from gwlocal.graphs import _free_trees, iter_dump_lines
+from gwlocal.graphs import _automorphisms, _preorder_edges, decorated_shapes, iter_dump_lines
 
 from oracles import count_labeled_decorated_trees, orbit_sum
 
@@ -127,13 +127,69 @@ def test_check_rejects_broken_graphs():
         FixedGraph(((0, (2,)), (1, ())), ((0, 1, 1),), 1).check(4, 1, 1)
 
 
+def _vertex_count(shape):
+    return 1 + sum(_vertex_count(below) for _degree, below in shape)
+
+
+def _cycle_count(image):
+    # number of cycles of the permutation v -> image[v]
+    seen = [False] * len(image)
+    cycles = 0
+    for start in range(len(image)):
+        if not seen[start]:
+            cycles += 1
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = image[v]
+    return cycles
+
+
 def test_free_tree_counts():
-    # unlabeled tree counts by vertex number: classical sequence
+    # unlabeled tree counts by vertex number, classical sequence: the shapes
+    # of degree order - 1 on order vertices have every edge degree 1, so they
+    # are the free trees
     expected = {2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
     for order, count in expected.items():
-        assert sum(1 for _ in _free_trees(order)) == count
+        shapes = decorated_shapes(1, order - 1)
+        assert sum(_vertex_count(shape) == order for shape, _aut, _classes in shapes) == count
     with pytest.raises(ValueError):
-        next(_free_trees(1))
+        next(decorated_shapes(1, 0))
+
+
+@pytest.mark.parametrize("d, count", enumerate((1, 2, 4, 9, 21, 55, 146), start=1))
+def test_shape_symmetries_match_listed_automorphisms(d, count):
+    # aut_order and classes come from multiplicities of equal branches; here
+    # the shapes are distinct, and each one's automorphism group is listed,
+    # with its classes counted by Burnside's lemma over that list: an
+    # automorphism reversing an edge fixes no proper labelling, and one
+    # reversing none fixes (n + 1) * n ** (cycles - 1)
+    by_n = {n: list(decorated_shapes(n, d)) for n in (1, 2, 4, 7)}
+    shapes = [shape for shape, _aut, _classes in by_n[1]]
+    assert len(shapes) == count
+    forms = set()
+    for i, shape in enumerate(shapes):
+        edges = _preorder_edges(shape)
+        forms.add(canonical_form(FixedGraph(((0, ()),) * (len(edges) + 1), edges, 1)))
+        automorphisms = list(_automorphisms(edges))
+        for n, yielded in by_n.items():
+            assert yielded[i][:2] == (shape, len(automorphisms))
+            fixed = sum(
+                (n + 1) * n ** (_cycle_count(image) - 1)
+                for image in automorphisms
+                if all(image[a] != b or image[b] != a for a, b, _degree in edges)
+            )
+            assert yielded[i][2] * len(automorphisms) == fixed
+    assert len(forms) == count
+
+
+def test_degree_nine_shapes_counted_without_listing_automorphisms():
+    # the 9-edge star alone has 9! automorphisms, so listing them would take
+    # seconds; the branch multiplicities give these at once
+    shapes = list(decorated_shapes(4, 9))
+    assert len(shapes) == 1212
+    assert sum(classes for _shape, _aut, classes in shapes) == 109_753_700
+    assert max(aut for _shape, aut, _classes in shapes) == 362_880
 
 
 def test_star_with_four_equal_leaves_has_full_symmetric_group():

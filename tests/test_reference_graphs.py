@@ -5,7 +5,7 @@ Both must yield the same isomorphism classes with the same automorphism
 orders.  The package picks a different representative of each class and a
 different order, so the comparison is between multisets of
 ``(canonical_form, aut_order)``; a class yielded twice would show as a
-multiplicity above one.  The package's Burnside count of classes per shape,
+multiplicity above one.  The package's count of classes per shape,
 which lists none, must match the reference's count too.
 """
 

@@ -84,6 +84,18 @@ class TestCITarget:
         with pytest.raises(ValueError):
             CITarget(4, (-1,), 1)
 
+    def test_non_integral_degrees_rejected(self):
+        # int() would truncate 5.7 to a quintic and 2.9 to a codimension-2
+        # insertion
+        with pytest.raises(ValueError):
+            CITarget(4, (5.7,), 1)
+        with pytest.raises(ValueError):
+            CITarget(4, (5.0,), 1)
+        with pytest.raises(ValueError):
+            CITarget(2, (), 1, (2.9, 2.2))
+        with pytest.raises(ValueError):
+            CITarget(4, (5,), 1.0)
+
     def test_degree_zero_constructible(self):
         # needed so the positivity predicate's false branch is reachable
         assert not positivity_check(CITarget(4, (0,), 1))
