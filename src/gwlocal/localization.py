@@ -32,7 +32,6 @@ point-insertion targets, so those keep the class sum.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -525,6 +524,19 @@ def _summands(target):
     return _Evaluator.shape_value, shapes, sum(classes for _tree, _aut, classes in shapes)
 
 
+def ProcessPoolExecutor(*args, **kwargs):
+    """The standard library's process pool, imported on the first call.
+
+    Importing ``concurrent.futures.process`` loads ``multiprocessing``,
+    ``socket``, ``subprocess`` and ``logging``, which would make up about
+    half of the package's import time; only a call that opens a pool pays
+    for it.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(*args, **kwargs)
+
+
 def _totals_at(term, items, target, jobs, candidates):
     """Totals of ``term`` over ``items`` at each weight vector in
     ``candidates``, ``None`` where a vector degenerates.
@@ -532,7 +544,9 @@ def _totals_at(term, items, target, jobs, candidates):
     With ``jobs > 1`` and enough items, one pool evaluates every candidate
     as ``jobs`` slices; the items reach each worker once, through the pool's
     initializer, so a task carries only a weight vector and a slice index.
-    Otherwise the same tasks run here, through the builtin ``map``.
+    Only then is the pool machinery imported, through
+    :func:`ProcessPoolExecutor`.  Otherwise the same tasks run here, through
+    the builtin ``map``.
     """
     slice_count = jobs if jobs > 1 and len(items) >= 2 * jobs else 1
     shared = (term, items, target, slice_count)
@@ -564,18 +578,25 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     ``graph_count`` is the number of classes either way.  The seeds' weight
     vectors are evaluated together, in rounds: ``jobs > 1`` spreads a round
     over one pool of worker processes, each vector split into ``jobs``
-    slices of the classes or shapes.  A seed whose vector degenerates, or
-    repeats the vector an earlier seed accepted, moves to its next attempt in
-    the next round, so the vectors used are those of evaluating the seeds one
-    by one in order.  Exact addition commutes, so the result is identical for
-    any worker count.
+    slices of the classes or shapes.  The pool machinery is imported only
+    when a call opens a pool, so a serial call never loads it.  A seed whose
+    vector degenerates, or repeats the vector an earlier seed accepted,
+    moves to its next attempt in the next round, so the vectors used are
+    those of evaluating the seeds one by one in order.  Exact addition
+    commutes, so the result is identical for any worker count.
 
-    Raises :class:`DimensionMismatch` if the insertions do not cut the
-    problem to dimension zero, :class:`ResamplingExhausted` if every weight
-    vector a seed offers degenerates (naming the first such seed), and
-    :class:`WeightIndependenceFailure` if the per-seed totals disagree.
+    Raises ``ValueError`` if ``jobs`` is not an integer of at least 1 or a
+    seed is not an integer, :class:`DimensionMismatch` if the insertions do
+    not cut the problem to dimension zero, :class:`ResamplingExhausted` if
+    every weight vector a seed offers degenerates (naming the first such
+    seed), and :class:`WeightIndependenceFailure` if the per-seed totals
+    disagree.
     """
-    seeds = tuple(int(s) for s in seeds)
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+    seeds = tuple(seeds)
+    if not all(isinstance(s, int) for s in seeds):
+        raise ValueError(f"seeds must be integers, got {seeds!r}")
     if len(seeds) < 2 or len(set(seeds)) != len(seeds):
         raise ValueError("need at least two distinct seeds")
     if not positivity_check(target):

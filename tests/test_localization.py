@@ -253,6 +253,21 @@ class TestInputPolicing:
         with pytest.raises(ValueError):
             sum_invariant(CITarget(4, (5,), 1), seeds=(1, 1, 2))
 
+    @pytest.mark.parametrize("seeds", [(1.5, 2.5, 3), (1.5, 1.7, 3)])
+    def test_non_integral_seeds_rejected(self, seeds):
+        # truncated, they would be the distinct seeds (1, 2, 3) in one case
+        # and repeat seed 1 in the other
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            sum_invariant(CITarget(4, (5,), 3), seeds=seeds)
+
+    # at jobs=2.5 the quintic's 4 shapes at d=3 stay below the pool
+    # threshold and its 9 at d=4 reach it
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("jobs", [2.5, 0, -2, 1.0])
+    def test_jobs_must_be_a_positive_integer(self, d, jobs):
+        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+            sum_invariant(CITarget(4, (5,), d), jobs=jobs)
+
     def test_positivity_enforced(self):
         with pytest.raises(ValueError):
             sum_invariant(CITarget(4, (0,), 1))
