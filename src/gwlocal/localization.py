@@ -528,9 +528,8 @@ def ProcessPoolExecutor(*args, **kwargs):
     """The standard library's process pool, imported on the first call.
 
     Importing ``concurrent.futures.process`` loads ``multiprocessing``,
-    ``socket``, ``subprocess`` and ``logging``, which would make up about
-    half of the package's import time; only a call that opens a pool pays
-    for it.
+    ``socket``, ``subprocess`` and ``logging``, a large share of the
+    package's import time; only a call that opens a pool pays for it.
     """
     from concurrent.futures import ProcessPoolExecutor
 
