@@ -14,22 +14,23 @@ reproduce the labeled total.
 
 from math import factorial
 
-from gwlocal import enumerate_graphs, iter_dump_lines
+from gwlocal import enumerate_graphs
 
 print("classes of decorated trees (no marks):")
 print("d\\n " + "".join(f"{n:>8}" for n in range(1, 5)))
 for d in range(1, 5):
-    row = [sum(1 for _ in enumerate_graphs(n, d, 0)) for n in range(1, 5)]
+    row = [sum(1 for _ in enumerate_graphs(n, d)) for n in range(1, 5)]
     print(f"{d}   " + "".join(f"{c:>8}" for c in row))
 
 # the quintic's degree-4 sum runs over this many classes
-count = sum(1 for _ in enumerate_graphs(4, 4, 0))
+count = sum(1 for _ in enumerate_graphs(4, 4))
 print(f"\ndegree 4 in P4: {count} classes feed the graph sum")
 
 print("\nsmallest nontrivial census, P1 and degree 2:")
-graphs = list(enumerate_graphs(1, 2, 0))
-for line in sorted(iter_dump_lines(graphs)):
-    print("  " + line)
+graphs = list(enumerate_graphs(1, 2))
+# each class as its vertex labels and its (vertex, vertex, degree) edges
+for labels, edges, aut in sorted((g.labels(), g.edges, g.aut_order) for g in graphs):
+    print(f"  labels {labels}  edges {edges}  aut={aut}")
 
 labeled = sum(factorial(g.num_vertices) // g.aut_order for g in graphs)
 print(f"orbit-stabilizer: sum of V!/|Aut| = {labeled} labeled decorated trees")

@@ -15,7 +15,7 @@ from .targets import (
     parse_fraction,
     positivity_check,
 )
-from .graphs import FixedGraph, canonical_form, enumerate_graphs, iter_dump_lines
+from .graphs import FixedGraph, enumerate_graphs
 from .localization import (
     ENGINE_VERSION,
     DegenerateWeights,
@@ -60,9 +60,7 @@ __all__ = [
     "parse_fraction",
     "positivity_check",
     "FixedGraph",
-    "canonical_form",
     "enumerate_graphs",
-    "iter_dump_lines",
     "ENGINE_VERSION",
     "DegenerateWeights",
     "DimensionMismatch",

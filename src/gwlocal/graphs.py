@@ -11,30 +11,22 @@ trees with edge degrees), each generated once as a canonical rooted tuple of
 branches, with its automorphism order and its number of unmarked classes;
 both are counted from the multiplicities of equal branches, without listing
 an automorphism or a labelling.  The engine sums targets without insertions
-shape by shape over this rooted form.  :func:`enumerate_graphs` yields
-exactly one representative per isomorphism class together with the order of
-its decoration-preserving automorphism group.  It works per shape: it lists
-the shape's automorphisms and keeps the labellings that are lexicographically
-least under them, so no labelled tree is canonicalised, and its order is
-deterministic.  :func:`canonical_form` encodes a single tree canonically, for
-comparing enumerations.
+shape by shape over this rooted form.  :func:`enumerate_graphs` builds the
+unmarked classes from the same rooted tuples and the same multiplicities,
+one representative per isomorphism class together with the order of its
+decoration-preserving automorphism group, in a deterministic order; the
+engine sums targets with insertions class by class, placing marks
+analytically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import groupby, product
+from itertools import combinations, combinations_with_replacement, groupby
 from math import comb, factorial
-from operator import add, itemgetter
 
-__all__ = [
-    "FixedGraph",
-    "enumerate_graphs",
-    "decorated_shapes",
-    "canonical_form",
-    "iter_dump_lines",
-]
+__all__ = ["FixedGraph", "enumerate_graphs", "decorated_shapes"]
 
 
 @dataclass(frozen=True)
@@ -42,9 +34,10 @@ class FixedGraph:
     """One isomorphism class of decorated trees.
 
     ``vertices[v]`` is ``(label, marks)`` with ``marks`` a sorted tuple of the
-    mark indices attached at ``v``; ``edges`` holds ``(a, b, degree)`` triples
-    with ``a < b``; ``aut_order`` is the order of the automorphism group
-    fixing labels, edge degrees, and mark attachments.
+    mark indices attached at ``v`` (empty in every class
+    :func:`enumerate_graphs` yields); ``edges`` holds ``(a, b, degree)``
+    triples with ``a < b``; ``aut_order`` is the order of the automorphism
+    group fixing labels, edge degrees, and mark attachments.
     """
 
     vertices: tuple
@@ -55,153 +48,8 @@ class FixedGraph:
     def num_vertices(self) -> int:
         return len(self.vertices)
 
-    @property
-    def num_marks(self) -> int:
-        return sum(len(marks) for _label, marks in self.vertices)
-
-    @property
-    def degree_total(self) -> int:
-        return sum(degree for _a, _b, degree in self.edges)
-
     def labels(self) -> tuple:
         return tuple(label for label, _marks in self.vertices)
-
-    def adjacency(self):
-        """Per-vertex list of ``(neighbor, edge_degree)`` pairs."""
-        adj = [[] for _ in self.vertices]
-        for a, b, degree in self.edges:
-            adj[a].append((b, degree))
-            adj[b].append((a, degree))
-        return adj
-
-    def check(self, ambient_dim: int, curve_degree: int, num_marks: int) -> None:
-        """Raise ValueError unless every structural invariant holds."""
-        nv = len(self.vertices)
-        if nv < 2:
-            raise ValueError("a fixed graph needs at least two vertices")
-        if len(self.edges) != nv - 1:
-            raise ValueError("edge count must be one less than vertex count")
-        parent = list(range(nv))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b, degree in self.edges:
-            if not (0 <= a < b < nv):
-                raise ValueError("edge endpoints must satisfy 0 <= a < b < num_vertices")
-            if degree < 1:
-                raise ValueError("edge degrees must be positive")
-            if self.vertices[a][0] == self.vertices[b][0]:
-                raise ValueError("adjacent vertices must carry distinct labels")
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                raise ValueError("edges form a cycle")
-            parent[ra] = rb
-        for label, marks in self.vertices:
-            if not 0 <= label <= ambient_dim:
-                raise ValueError("vertex label out of range")
-            if tuple(sorted(marks)) != tuple(marks):
-                raise ValueError("mark tuples must be sorted")
-        if self.degree_total != curve_degree:
-            raise ValueError("edge degrees must sum to the curve degree")
-        all_marks = sorted(m for _label, marks in self.vertices for m in marks)
-        if all_marks != list(range(1, num_marks + 1)):
-            raise ValueError("marks must partition 1..k")
-        key, aut = _canonical_key_aut(self.labels(), self.edges, [marks for _l, marks in self.vertices])
-        if aut != self.aut_order:
-            raise ValueError("stored automorphism order disagrees with recomputation")
-
-
-# ---------------------------------------------------------------------------
-# Canonical form and automorphism order.
-#
-# Root at the center of the underlying tree (an isomorphism invariant), encode
-# subtrees recursively with decorations inline, and sort child encodings.  The
-# automorphism order is the product over vertices of the factorials of the
-# multiplicities of identical child encodings, times 2 for a bicentral tree
-# whose halves match.
-
-
-def _tree_centers(adj_indices):
-    count = len(adj_indices)
-    if count <= 2:
-        return list(range(count))
-    degree = [len(neigh) for neigh in adj_indices]
-    removed = [False] * count
-    layer = [v for v in range(count) if degree[v] == 1]
-    remaining = count
-    while remaining > 2:
-        for v in layer:
-            removed[v] = True
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in adj_indices[v]:
-                if not removed[u]:
-                    degree[u] -= 1
-                    if degree[u] == 1:
-                        nxt.append(u)
-        layer = nxt
-    return sorted(v for v in range(count) if not removed[v])
-
-
-def _rooted_encoding(v, parent, adj_deg, labels, marks):
-    subs = []
-    aut = 1
-    for u, edge_degree in adj_deg[v]:
-        if u == parent:
-            continue
-        enc_u, aut_u = _rooted_encoding(u, v, adj_deg, labels, marks)
-        subs.append((edge_degree, enc_u))
-        aut *= aut_u
-    subs.sort()
-    run = 1
-    for i in range(1, len(subs)):
-        if subs[i] == subs[i - 1]:
-            run += 1
-        else:
-            aut *= factorial(run)
-            run = 1
-    aut *= factorial(run) if subs else 1
-    mark_text = ",".join(str(m) for m in marks[v])
-    enc = f"({labels[v]}:{mark_text}" + "".join(f"[{g}]{e}" for g, e in subs) + ")"
-    return enc, aut
-
-
-def _canonical_key_aut(labels, edges, marks):
-    """Canonical encoding (bytes) and automorphism order of a decorated tree."""
-    nv = len(labels)
-    adj_indices = [[] for _ in range(nv)]
-    adj_deg = [[] for _ in range(nv)]
-    for a, b, degree in edges:
-        adj_indices[a].append(b)
-        adj_indices[b].append(a)
-        adj_deg[a].append((b, degree))
-        adj_deg[b].append((a, degree))
-    centers = _tree_centers(adj_indices)
-    if len(centers) == 1:
-        enc, aut = _rooted_encoding(centers[0], None, adj_deg, labels, marks)
-        return ("*" + enc).encode("ascii"), aut
-    c1, c2 = centers
-    central_degree = next(g for u, g in adj_deg[c1] if u == c2)
-    enc1, aut1 = _rooted_encoding(c1, c2, adj_deg, labels, marks)
-    enc2, aut2 = _rooted_encoding(c2, c1, adj_deg, labels, marks)
-    if enc2 < enc1:
-        enc1, enc2 = enc2, enc1
-    aut = aut1 * aut2 * (2 if enc1 == enc2 else 1)
-    return (f"<{central_degree}>" + enc1 + enc2).encode("ascii"), aut
-
-
-def canonical_form(graph: FixedGraph) -> bytes:
-    """Canonical encoding of a decorated tree: two graphs are isomorphic iff
-    their encodings are equal.  Stable across runs and platforms."""
-    key, _aut = _canonical_key_aut(
-        graph.labels(), graph.edges, [marks for _label, marks in graph.vertices]
-    )
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +125,7 @@ def decorated_shapes(n: int, d: int):
     center takes any of ``n + 1`` labels.  Equal halves about a central edge
     double the automorphisms and halve the classes, as the swap moves a
     center's label.  Summed over the shapes, ``classes`` is the number of
-    classes ``enumerate_graphs(n, d, 0)`` yields.
+    classes ``enumerate_graphs(n, d)`` yields.
 
     EXAMPLES::
 
@@ -328,116 +176,71 @@ def _preorder_edges(shape):
     return tuple(edges)
 
 
-def _automorphisms(edges):
-    # every vertex permutation of the shape preserving edges and their
-    # degrees, as image tuples, by backtracking in preorder: a vertex must go
-    # to a neighbour of its parent's image along an edge of the same degree
-    nv = len(edges) + 1
-    neighbours = [{} for _ in range(nv)]
-    parent = [0] * nv
-    for a, b, g in edges:
-        neighbours[a][b] = g
-        neighbours[b][a] = g
-        parent[b] = a
-    image = [0] * nv
-    used = [False] * nv
-
-    def extend(v):
-        if v == nv:
-            yield tuple(image)
-            return
-        if v == 0:
-            candidates = range(nv)
-        else:
-            up = neighbours[v][parent[v]]
-            candidates = [u for u, g in neighbours[image[parent[v]]].items() if g == up]
-        for u in candidates:
-            if not used[u] and len(neighbours[u]) == len(neighbours[v]):
-                image[v] = u
-                used[u] = True
-                yield from extend(v + 1)
-                used[u] = False
-
-    yield from extend(0)
-
-
-def _labelings(edges, num_labels):
-    # every vertex-label tuple with adjacent labels distinct (each vertex
-    # after the root differs from its parent), in lexicographic order
-    labelings = [(label,) for label in range(num_labels)]
-    for parent, _child, _degree in edges:
-        labelings = [
-            labels + (label,)
-            for labels in labelings
-            for label in range(num_labels)
-            if label != labels[parent]
-        ]
-    return labelings
-
-
-def _placements(nv, k, stride):
-    # every placement of marks 1..k on nv vertices, as the per-vertex mark
-    # tuples and the per-vertex offsets stride * (bit mask of the marks)
-    placements = []
-    for assignment in product(range(nv), repeat=k):
-        marks = [[] for _ in range(nv)]
-        offsets = [0] * nv
-        for bit, v in enumerate(assignment):
-            marks[v].append(bit + 1)
-            offsets[v] += stride << bit
-        placements.append((tuple(map(tuple, marks)), tuple(offsets)))
-    return placements
-
-
 def enumerate_graphs(n: int, d: int, k: int = 0):
     """Yield one representative per isomorphism class of decorated trees for
-    degree-``d`` fixed loci in projective ``n``-space with ``k`` marks.
+    degree-``d`` fixed loci in projective ``n``-space, without marks.
 
-    Each degree-decorated shape (an unlabeled tree with edge degrees, up to
-    isomorphism) is taken once, numbered in preorder from its root, and its
-    automorphism group is listed.  A labelling and mark placement of the
-    shape is kept exactly when it is lexicographically least in its orbit
-    under that group, and its stabiliser order is the class's ``aut_order``;
-    no labelled tree is ever canonicalised.  Classes appear in a
-    deterministic order: shapes as :func:`decorated_shapes` yields them, then
-    labellings and mark placements in generation order.  The cost grows like
-    ``num_vertices ** k`` in the mark count, so enumerate with ``k = 0`` and
-    handle marks analytically when many marks are needed.
+    Each shape of :func:`decorated_shapes` is labelled from its rooted
+    tuple, and no automorphism is listed.  Below a vertex labelled ``r``,
+    ``m`` equal branches with subtree ``S`` take every multiset of ``m``
+    labelled classes of ``S`` rooted at labels other than ``r``; a run of
+    ``j`` equal chosen branches, each fixed by ``a`` automorphisms, gives
+    ``j! * a ** j`` to the class's ``aut_order``.  A shape whose halves about
+    its central edge are equal takes unordered pairs of labelled halves;
+    adjacent labels differ, so the swap fixes no class.  Vertices are
+    numbered in preorder from the root, so all classes of a shape share its
+    ``edges``.  Classes appear in a deterministic order: shapes as
+    :func:`decorated_shapes` yields them, then root label, then generation
+    order.  There is one class per class :func:`decorated_shapes` counts.
+
+    ``k`` must be 0: the engine sums marks per vertex instead of enumerating
+    marked classes (see ``_Evaluator.summed_value``).
 
     EXAMPLES::
 
-        >>> sum(1 for _ in enumerate_graphs(4, 1, 0))
+        >>> sum(1 for _ in enumerate_graphs(4, 1))
         10
-        >>> sum(1 for _ in enumerate_graphs(4, 2, 0))
+        >>> sum(1 for _ in enumerate_graphs(4, 2))
         60
     """
-    if n < 1 or d < 1 or k < 0:
-        raise ValueError("need n >= 1, d >= 1, k >= 0")
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1, d >= 1")
+    if k != 0:
+        raise ValueError("marked classes are not enumerated: need k = 0")
+
+    @cache
+    def classes(shape, root):
+        # the labelled classes of a rooted shape whose root is labelled
+        # `root`, as (preorder labels, automorphisms fixing the root) pairs
+        built = [((root,), 1)]
+        for branch, run in groupby(shape):
+            below = [
+                cls for label in range(n + 1) if label != root for cls in classes(branch[1], label)
+            ]
+            picks = []
+            for chosen in combinations_with_replacement(below, len(tuple(run))):
+                labels, aut = (), 1
+                for (branch_labels, branch_aut), equal in groupby(chosen):
+                    j = len(tuple(equal))
+                    labels += branch_labels * j
+                    aut *= factorial(j) * branch_aut**j
+                picks.append((labels, aut))
+            built = [
+                (head + tail, aut * tail_aut) for head, aut in built for tail, tail_aut in picks
+            ]
+        return built
+
     for shape in _shapes(d):
         edges = _preorder_edges(shape)
-        nv = len(edges) + 1
-        identity = tuple(range(nv))
-        images = [itemgetter(*perm) for perm in _automorphisms(edges) if perm != identity]
-        placements = _placements(nv, k, n + 1)
-        for labels in _labelings(edges, n + 1):
-            for marks, offsets in placements:
-                # one integer per vertex, equal exactly when the label and
-                # the marks agree; tuple order ranks decorations
-                decoration = tuple(map(add, labels, offsets))
-                aut = 1
-                for image in images:
-                    moved = image(decoration)
-                    if moved < decoration:
-                        break
-                    if moved == decoration:
-                        aut += 1
-                else:
-                    yield FixedGraph(
-                        vertices=tuple(zip(labels, marks)), edges=edges, aut_order=aut
-                    )
-
-
-def iter_dump_lines(graphs):
-    """Stable one-line-per-graph text encoding, for diffing enumerations."""
-    for graph in graphs:
-        yield f"{canonical_form(graph).decode('ascii')}\taut={graph.aut_order}"
+        *others, (_degree, last) = shape
+        if tuple(others) == last:
+            halves = [half for root in range(n + 1) for half in classes(last, root)]
+            labelled = [
+                (first + second, first_aut * second_aut)
+                for (first, first_aut), (second, second_aut) in combinations(halves, 2)
+                if first[0] != second[0]
+            ]
+        else:
+            labelled = [cls for root in range(n + 1) for cls in classes(shape, root)]
+        for labels, aut in labelled:
+            yield FixedGraph(tuple((label, ()) for label in labels), edges, aut)

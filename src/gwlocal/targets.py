@@ -137,12 +137,6 @@ class WeightVector:
         """The weight vector with every entry multiplied by ``factor``."""
         return WeightVector(tuple(w * Fraction(factor) for w in self.weights))
 
-    def permuted(self, perm) -> "WeightVector":
-        """Entries rearranged so position ``i`` holds the old entry ``perm[i]``."""
-        if sorted(perm) != list(range(len(self.weights))):
-            raise ValueError("not a permutation of the weight positions")
-        return WeightVector(tuple(self.weights[p] for p in perm))
-
 
 @dataclass(frozen=True)
 class DimensionQuery:

@@ -153,3 +153,10 @@ class ReferenceEvaluator:
                 vertex_sum += recip_sums[v] * self.lam[label] ** insertion.power
             value *= vertex_sum
         return value / self._symmetry_divisor(graph)
+
+
+def permuted(weights: WeightVector, perm) -> WeightVector:
+    """``weights`` rearranged so position ``i`` holds the old entry ``perm[i]``."""
+    if sorted(perm) != list(range(len(weights))):
+        raise ValueError("not a permutation of the weight positions")
+    return WeightVector(tuple(weights[p] for p in perm))

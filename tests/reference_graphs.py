@@ -5,13 +5,16 @@ representatives per degree-decorated shape: it builds every labelled
 decoration of every free tree, computes a canonical string key for each, keeps
 the first tree seen per key in a dictionary and yields the classes sorted by
 key.  It is slow and obviously correct, which is what a reference should be.
-Tests compare its ``(canonical_form, aut_order)`` multiset with the package's
-enumeration; nothing in the package imports it.
+It also enumerates marked classes, which the package does not, so it is the
+tests' oracle for the engine's analytic mark placement.  Tests compare its
+``(canonical_form, aut_order)`` multiset with the package's enumeration, and
+check any class with :func:`check`; nothing in the package imports it.
 """
 
 from itertools import product
 from math import factorial
 
+from gwlocal import graphs
 from gwlocal.graphs import FixedGraph
 
 
@@ -181,6 +184,67 @@ def _canonical_key_aut(labels, edges, marks):
     return (f"<{central_degree}>" + enc1 + enc2).encode("ascii"), aut
 
 
+def canonical_form(graph: FixedGraph) -> bytes:
+    """Canonical encoding of a decorated tree: two graphs are isomorphic iff
+    their encodings are equal.  Stable across runs and platforms."""
+    key, _aut = _canonical_key_aut(
+        graph.labels(), graph.edges, [marks for _label, marks in graph.vertices]
+    )
+    return key
+
+
+def adjacency(graph: FixedGraph):
+    """Per-vertex list of ``(neighbor, edge_degree)`` pairs."""
+    adj = [[] for _ in graph.vertices]
+    for a, b, degree in graph.edges:
+        adj[a].append((b, degree))
+        adj[b].append((a, degree))
+    return adj
+
+
+def check(graph: FixedGraph, ambient_dim: int, curve_degree: int, num_marks: int) -> None:
+    """Raise ValueError unless every structural invariant of ``graph`` holds."""
+    nv = len(graph.vertices)
+    if nv < 2:
+        raise ValueError("a fixed graph needs at least two vertices")
+    if len(graph.edges) != nv - 1:
+        raise ValueError("edge count must be one less than vertex count")
+    parent = list(range(nv))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b, degree in graph.edges:
+        if not (0 <= a < b < nv):
+            raise ValueError("edge endpoints must satisfy 0 <= a < b < num_vertices")
+        if degree < 1:
+            raise ValueError("edge degrees must be positive")
+        if graph.vertices[a][0] == graph.vertices[b][0]:
+            raise ValueError("adjacent vertices must carry distinct labels")
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            raise ValueError("edges form a cycle")
+        parent[ra] = rb
+    for label, marks in graph.vertices:
+        if not 0 <= label <= ambient_dim:
+            raise ValueError("vertex label out of range")
+        if tuple(sorted(marks)) != tuple(marks):
+            raise ValueError("mark tuples must be sorted")
+    if sum(degree for _a, _b, degree in graph.edges) != curve_degree:
+        raise ValueError("edge degrees must sum to the curve degree")
+    all_marks = sorted(m for _label, marks in graph.vertices for m in marks)
+    if all_marks != list(range(1, num_marks + 1)):
+        raise ValueError("marks must partition 1..k")
+    _key, aut = _canonical_key_aut(
+        graph.labels(), graph.edges, [marks for _label, marks in graph.vertices]
+    )
+    if aut != graph.aut_order:
+        raise ValueError("stored automorphism order disagrees with recomputation")
+
+
 # ---------------------------------------------------------------------------
 # Enumeration.
 
@@ -256,3 +320,9 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
                             )
     for key in sorted(reps):
         yield reps[key]
+
+
+def classes(n: int, d: int, k: int):
+    """The classes with ``k`` marks: the package's when ``k`` is 0, this
+    module's otherwise, as the package enumerates no marked class."""
+    return graphs.enumerate_graphs(n, d) if k == 0 else enumerate_graphs(n, d, k)

