@@ -132,8 +132,9 @@ class _Evaluator:
     becomes one ``Fraction`` at the end, reduced once instead of once per
     multiply.  For an unbalanced target the value is the term at ``p``.
 
-    Edge factors recur across trees, so they are memoized per (pair, degree);
-    the tangent product at each fixed point is computed once per label.
+    Edge factors recur across trees, so each one, whole, is memoized once per
+    (pair, degree) as an integer numerator and denominator; the tangent
+    product at each fixed point is computed once per label.
     :meth:`summed_value` evaluates one tree; :meth:`shape_value` sums every
     labelling of one shape, from the same memoized factors, and shares the
     tables of equal subtrees across shapes.  Instances are cheap and
@@ -156,43 +157,35 @@ class _Evaluator:
         self._bundle_vertex = tuple(prod(a * pi for a in degrees) for pi in self.p)
         powers = [insertion.power for insertion in target.insertions]
         self._insertion_powers = tuple((w, powers.count(w)) for w in sorted(set(powers)))
-        self._bundle_memo = {}
-        self._normal_memo = {}
+        self._edge_memo = {}
         self._edge_tables = {}
         self._flag_tables = {}
         self._vertex_memo = {}
         self._branch_tables = {}
 
-    def _bundle_edge(self, a, i, j, de):
-        # hypersurface-section weights along one edge:
-        #   prod_{c=0..a*de} (c*p_i + (a*de - c)*p_j) / de
-        # as (num, den)
-        if i > j:
-            i, j = j, i
-        key = (a, i, j, de)
-        value = self._bundle_memo.get(key)
-        if value is None:
-            pi, pj = self.p[i], self.p[j]
-            m = a * de
-            num = 1
-            for c in range(m + 1):
-                num *= c * pi + (m - c) * pj
-            value = (num, de ** (m + 1))
-            self._bundle_memo[key] = value
-        return value
-
-    def _normal_edge(self, i, j, de):
-        # edge block of the inverse normal-bundle euler class:
-        #   (-1)^de * de^(2de) / ((de!)^2 (p_i - p_j)^(2de))
-        #   * prod_{k != i,j} prod_{c=0..de} de / (c*p_i + (de-c)*p_j - de*p_k)
-        # as (num, den)
+    def _edge(self, i, j, de):
+        # the factor of an edge of degree de between labels i and j, as
+        # (num, den): -de / (p_i - p_j)^2, the division by both flag weights
+        # with one de of the symmetry divisor, times prod_a bundle * normal,
+        # the hypersurface-section weights
+        #   bundle = prod_{c=0..a*de} (c*p_i + (a*de - c)*p_j) / de
+        # and the edge block of the inverse normal-bundle euler class
+        #   normal = (-1)^de * de^(2de) / ((de!)^2 (p_i - p_j)^(2de))
+        #     * prod_{k != i,j} prod_{c=0..de} de / (c*p_i + (de-c)*p_j - de*p_k)
         if i > j:
             i, j = j, i
         key = (i, j, de)
-        value = self._normal_memo.get(key)
+        value = self._edge_memo.get(key)
         if value is None:
             pi, pj = self.p[i], self.p[j]
-            den = factorial(de) ** 2 * (pi - pj) ** (2 * de)
+            factors = (len(self.p) - 2) * (de + 1)
+            num = (-1) ** (de + 1) * de ** (2 * de + 1 + factors)
+            den = factorial(de) ** 2 * (pi - pj) ** (2 * de + 2)
+            for a in self.target.degrees:
+                m = a * de
+                for c in range(m + 1):
+                    num *= c * pi + (m - c) * pj
+                den *= de ** (m + 1)
             for k, pk in enumerate(self.p):
                 if k == i or k == j:
                     continue
@@ -203,9 +196,8 @@ class _Evaluator:
                             f"edge ({i},{j}) of degree {de} met fixed point {k}"
                         )
                     den *= denominator
-            factors = (len(self.p) - 2) * (de + 1)
-            value = ((-1) ** de * de ** (2 * de + factors), den)
-            self._normal_memo[key] = value
+            value = (num, den)
+            self._edge_memo[key] = value
         return value
 
     def summed_value(self, graph: FixedGraph) -> Fraction:
@@ -221,7 +213,6 @@ class _Evaluator:
         the mark count.  Marks of equal power share one vertex sum.
         """
         p = self.p
-        degrees = self.target.degrees
         labels = [label for label, _marks in graph.vertices]
         nv = len(labels)
         valence = [0] * nv
@@ -236,21 +227,15 @@ class _Evaluator:
             valence[u] += 1
             valence[v] += 1
             # flag weights are omega = diff / de at u and -omega at v: their
-            # reciprocals enter the vertex sums, and dividing by both
-            # multiplies by -(de / diff)^2; the symmetry divisor takes one de
+            # reciprocals enter the vertex sums, and the edge factor divides
+            # by both
             rnum[u] = rnum[u] * diff + de * rden[u]
             rden[u] *= diff
             rnum[v] = rnum[v] * diff - de * rden[v]
             rden[v] *= diff
-            num *= -de * de
-            den *= diff * diff * de
-            for a in degrees:
-                bn, bd = self._bundle_edge(a, i, j, de)
-                num *= bn
-                den *= bd
-            nn, nd = self._normal_edge(i, j, de)
-            num *= nn
-            den *= nd
+            edge_num, edge_den = self._edge(i, j, de)
+            num *= edge_num
+            den *= edge_den
         for v in range(nv):
             # tangent^(val-1) * prod_a (a p)^(1-val) * recip^(val-3)
             label = labels[v]
@@ -282,22 +267,14 @@ class _Evaluator:
 
     def _edge_table(self, de):
         # [i][j]: the factor of an edge of degree de between labels i and j,
-        #   -de / (p_i - p_j)^2 * prod_a bundle * normal
-        # (the flag-weight division with one de of the symmetry divisor, as
-        # in summed_value), None on the diagonal
+        # as _edge gives it, None on the diagonal
         table = self._edge_tables.get(de)
         if table is None:
             p = self.p
             table = [[None] * len(p) for _ in p]
             for i in range(len(p)):
                 for j in range(i + 1, len(p)):
-                    num, den = -de, (p[i] - p[j]) ** 2
-                    for a in self.target.degrees:
-                        bn, bd = self._bundle_edge(a, i, j, de)
-                        num *= bn
-                        den *= bd
-                    nn, nd = self._normal_edge(i, j, de)
-                    table[i][j] = table[j][i] = Fraction(num * nn, den * nd)
+                    table[i][j] = table[j][i] = Fraction(*self._edge(i, j, de))
             self._edge_tables[de] = table
         return table
 
@@ -574,15 +551,16 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     insertions is summed over its tree classes; one without is summed over
     its degree-decorated shapes, each shape's labellings at once, and its
     classes are counted but never listed (see :func:`_summands`).
-    ``graph_count`` is the number of classes either way.  The seeds' weight
-    vectors are evaluated together, in rounds: ``jobs > 1`` spreads a round
-    over one pool of worker processes, each vector split into ``jobs``
-    slices of the classes or shapes.  The pool machinery is imported only
-    when a call opens a pool, so a serial call never loads it.  A seed whose
-    vector degenerates, or repeats the vector an earlier seed accepted,
-    moves to its next attempt in the next round, so the vectors used are
-    those of evaluating the seeds one by one in order.  Exact addition
-    commutes, so the result is identical for any worker count.
+    ``graph_count`` is the number of classes either way.  Every seed's first
+    weight vector is evaluated in one batch: ``jobs > 1`` spreads it over
+    one pool of worker processes, each vector split into ``jobs`` slices of
+    the classes or shapes.  The pool machinery is imported only when a call
+    opens a pool, so a serial call never loads it.  The seeds are then
+    resolved in order: while a seed's vector degenerates, or repeats the
+    vector an earlier seed accepted, the seed moves to its next attempt,
+    and a vector not yet evaluated is evaluated on its own, through a pool
+    of its own when ``jobs > 1``.  Exact addition commutes, so the result
+    is identical for any worker count.
 
     Raises ``ValueError`` if ``jobs`` is not an integer of at least 1 or a
     seed is not an integer, :class:`DimensionMismatch` if the insertions do
@@ -607,46 +585,26 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
             f"insertion codimensions total {supplied} but the problem needs {needed}"
         )
     term, items, graph_count = _summands(target)
-    attempts = [0] * len(seeds)
-    # the weight vector drawn at each seed's current attempt, None once the
-    # seed has moved past it
-    candidates = [None] * len(seeds)
-    evaluated = {}  # weights -> total, or None if they degenerate
-    totals = []  # of the seeds accepted so far, a prefix in seed order
-    used = set()
-    while len(totals) < len(seeds):
-        for i in range(len(totals), len(seeds)):
-            if candidates[i] is not None:
-                continue
-            if attempts[i] < _MAX_RESAMPLE:
-                candidates[i] = sample_weights(seeds[i], target.ambient_dim, attempts[i])
-            elif i == len(totals):
+    n = target.ambient_dim
+    # every seed's first vector in one batch, so a call without degeneracy
+    # opens at most one pool
+    first = [sample_weights(seed, n) for seed in seeds]
+    fresh = {weights.weights: weights for weights in first}
+    evaluated = dict(zip(fresh, _totals_at(term, items, target, jobs, list(fresh.values()))))
+    accepted = {}  # weights -> total, in seed order
+    for seed, weights in zip(seeds, first):
+        attempt = 0
+        while evaluated[weights.weights] is None or weights.weights in accepted:
+            attempt += 1
+            if attempt == _MAX_RESAMPLE:
                 raise ResamplingExhausted(
-                    f"no admissible weights for seed {seeds[i]} after {_MAX_RESAMPLE} attempts"
+                    f"no admissible weights for seed {seed} after {_MAX_RESAMPLE} attempts"
                 )
-        fresh = {
-            weights.weights: weights
-            for weights in candidates[len(totals) :]
-            if weights is not None and weights.weights not in evaluated
-        }
-        if fresh:
-            evaluated.update(
-                zip(fresh, _totals_at(term, items, target, jobs, list(fresh.values())))
-            )
-        # resolve in seed order: degeneracy is final for any seed, but only a
-        # seed whose predecessors are all accepted can be checked against them
-        for i in range(len(totals), len(seeds)):
-            weights = candidates[i]
-            if weights is None:
-                continue
-            total = evaluated[weights.weights]
-            first = i == len(totals)
-            if total is None or (first and weights.weights in used):
-                attempts[i] += 1
-                candidates[i] = None
-            elif first:
-                used.add(weights.weights)
-                totals.append(total)
+            weights = sample_weights(seed, n, attempt)
+            if weights.weights not in evaluated:
+                (evaluated[weights.weights],) = _totals_at(term, items, target, jobs, [weights])
+        accepted[weights.weights] = evaluated[weights.weights]
+    totals = list(accepted.values())
     if any(total != totals[0] for total in totals[1:]):
         raise WeightIndependenceFailure(
             f"seed totals disagree: {[str(t) for t in totals]} for seeds {seeds}"

@@ -46,7 +46,11 @@ def _divisors(d):
 
 
 def _as_table(values, max_degree=None) -> dict:
-    table = {int(d): Fraction(v) for d, v in dict(values).items()}
+    table = {}
+    for d, v in dict(values).items():
+        if not isinstance(d, int) or isinstance(v, float):
+            raise ValueError(f"need integer degrees and exact values, got {d!r}: {v!r}")
+        table[d] = Fraction(v)
     top = max_degree if max_degree is not None else (max(table) if table else 0)
     for d in range(1, top + 1):
         if d not in table:

@@ -155,6 +155,11 @@ class DimensionQuery:
     bundle_c1_dot_A: int | None = None
 
     def __post_init__(self):
+        fields = [self.genus, self.marks, self.c1_dot_A, self.half_dim]
+        if self.bundle_c1_dot_A is not None:
+            fields.append(self.bundle_c1_dot_A)
+        if not all(isinstance(value, int) for value in fields):
+            raise ValueError("dimension query fields must be integers")
         if self.genus not in (0, 1):
             raise ValueError("genus must be 0 or 1")
         if self.marks < 0:

@@ -208,6 +208,22 @@ class TestDegeneracy:
         assert sorted(calls) == [(1, 0), (2, 0), (2, 1), (3, 0)]
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sampled_weights_that_degenerate(self, monkeypatch, jobs):
+        # no mock of the weights: on the quintic at d=4 the first vector of
+        # each of these seeds degenerates, and so does seed 27's second
+        real = localization.sample_weights
+        calls = []
+
+        def recorded(seed, n, attempt=0):
+            calls.append((seed, attempt))
+            return real(seed, n, attempt)
+
+        monkeypatch.setattr(localization, "sample_weights", recorded)
+        result = sum_invariant(CITarget(4, (5,), 4), seeds=(27, 75, 191), jobs=jobs)
+        assert result.value == Fraction(15517926796875, 64)
+        assert sorted(calls) == [(27, 0), (27, 1), (27, 2), (75, 0), (75, 1), (191, 0), (191, 1)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_exhaustion_names_the_first_seed_in_order(self, monkeypatch, jobs):
         # (a, 2a, 3a) meets a third fixed point on a degree-2 edge between
         # labels 0 and 2, as in the test above, for every a

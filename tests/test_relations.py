@@ -132,6 +132,22 @@ class TestBPSTable:
         assert table[2] == 7
         assert dict(table.items()) == {1: Fraction(5), 2: Fraction(7)}
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {1.0: 5, 2.5: 3},  # truncated, these would be degrees 1 and 2
+            {1: 5, "2": 3},
+            {1: 5, 2: 0.5},
+        ],
+    )
+    def test_inexact_entries_rejected(self, entries):
+        with pytest.raises(ValueError, match="integer degrees and exact values"):
+            BPSTable(0, entries)
+
+    def test_inversion_rejects_a_fractional_degree(self):
+        with pytest.raises(ValueError, match="integer degrees"):
+            bps0_from_gw0({1: 2875, 2.9: QUINTIC_GW0[2]})
+
 
 class TestWDVV:
     def test_pinned_low_degrees(self):

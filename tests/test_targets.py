@@ -191,6 +191,22 @@ class TestExpectedDimension:
         with pytest.raises(ValueError):
             DimensionQuery(2, 0, 0, 3)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (0.0, 1, 6, 2),
+            (0, 1.5, 6, 2),
+            (0, 1, 6.5, 2),
+            (0, 1, 6, 2.0),
+            (0, 1, 6, 2, 1.5),
+            (0, 1, Fraction(6), 2),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, fields):
+        # unchecked, (0, 1.5, 6, 2) gave the dimension 13.0
+        with pytest.raises(ValueError, match="must be integers"):
+            DimensionQuery(*fields)
+
     @given(
         st.integers(0, 1),
         st.integers(0, 20),
