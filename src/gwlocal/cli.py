@@ -37,7 +37,7 @@ from .relations import (
     reproduce_table1,
     wdvv_p2,
 )
-from .targets import CITarget, DimensionQuery, expected_dimension, format_fraction
+from .targets import CITarget, DimensionQuery, expected_dimension
 
 __all__ = ["main", "build_parser", "EXIT_OK", "EXIT_USAGE", "EXIT_DIMENSION", "EXIT_ENGINE"]
 
@@ -140,7 +140,7 @@ def _genus0_query(target: CITarget) -> dict:
         "ambient_dim": target.ambient_dim,
         "degrees": list(target.degrees),
         "curve_degree": target.curve_degree,
-        "insertions": [ins.power for ins in target.insertions],
+        "insertions": list(target.insertions),
     }
 
 
@@ -176,7 +176,7 @@ def _cell(value, as_json=False):
     if isinstance(value, Fraction):
         if as_json:
             return {"num": str(value.numerator), "den": str(value.denominator)}
-        return format_fraction(value)
+        return str(value)
     if isinstance(value, bool) and not as_json:
         return "yes" if value else "no"
     if isinstance(value, tuple):

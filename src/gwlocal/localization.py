@@ -116,7 +116,7 @@ def required_insertion_total(target: CITarget) -> int:
     conditions."""
     d = target.curve_degree
     bundle_rank = sum(a * d + 1 for a in target.degrees)
-    return stable_map_dim(target.ambient_dim, d, target.num_marks) - bundle_rank
+    return stable_map_dim(target.ambient_dim, d, len(target.insertions)) - bundle_rank
 
 
 class _Evaluator:
@@ -155,7 +155,7 @@ class _Evaluator:
             prod(pi - pk for k, pk in enumerate(self.p) if k != i) for i, pi in enumerate(self.p)
         )
         self._bundle_vertex = tuple(prod(a * pi for a in degrees) for pi in self.p)
-        powers = [insertion.power for insertion in target.insertions]
+        powers = target.insertions
         self._insertion_powers = tuple((w, powers.count(w)) for w in sorted(set(powers)))
         self._edge_memo = {}
         self._edge_tables = {}
@@ -237,15 +237,13 @@ class _Evaluator:
             num *= edge_num
             den *= edge_den
         for v in range(nv):
-            # tangent^(val-1) * prod_a (a p)^(1-val) * recip^(val-3)
+            # tangent^(val-1) * prod_a (a p)^(1-val) * recip^(val-3); a tree
+            # has an edge, since the curve degree is positive, so val >= 1
             label = labels[v]
             e = valence[v] - 1
             if e > 0:
                 num *= self._tangent[label] ** e
                 den *= self._bundle_vertex[label] ** e
-            elif e < 0:
-                num *= self._bundle_vertex[label]
-                den *= self._tangent[label]
             exponent = e - 2
             if exponent > 0:
                 num *= rnum[v] ** exponent
@@ -449,7 +447,6 @@ class EngineResult:
     value: Fraction
     graph_count: int
     weight_seeds: tuple
-    target: CITarget
 
 
 # the term method, its items, the target and the slice count of the call a
@@ -578,7 +575,7 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
         raise ValueError("need at least two distinct seeds")
     if not positivity_check(target):
         raise ValueError("target has a non-positive hypersurface factor")
-    supplied = sum(insertion.power for insertion in target.insertions)
+    supplied = sum(target.insertions)
     needed = required_insertion_total(target)
     if supplied != needed:
         raise DimensionMismatch(
@@ -609,6 +606,4 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
         raise WeightIndependenceFailure(
             f"seed totals disagree: {[str(t) for t in totals]} for seeds {seeds}"
         )
-    return EngineResult(
-        value=totals[0], graph_count=graph_count, weight_seeds=seeds, target=target
-    )
+    return EngineResult(value=totals[0], graph_count=graph_count, weight_seeds=seeds)

@@ -16,8 +16,6 @@ from importlib import resources
 from math import comb
 from pathlib import Path
 
-from .targets import parse_fraction
-
 __all__ = [
     "UnsupportedDimension",
     "BPSTable",
@@ -41,8 +39,12 @@ class UnsupportedDimension(ValueError):
     4 and 6."""
 
 
-def _divisors(d):
-    return [k for k in range(1, d + 1) if d % k == 0]
+def _cover_sum(table, d, weight, start=1) -> Fraction:
+    # the multiple-cover sum over divisors k >= start of d of
+    # table[d/k] / k**weight
+    return sum(
+        (table[d // k] / k**weight for k in range(start, d + 1) if d % k == 0), Fraction(0)
+    )
 
 
 def _as_table(values, max_degree=None) -> dict:
@@ -85,8 +87,10 @@ class BPSTable:
 
 def genus1_from_reduced(genus0_value, reduced_term) -> Fraction:
     """Genus-one invariant of a Calabi-Yau threefold class from the genus-zero
-    invariant and the reduced term: ``genus0_value / 12 + reduced_term``."""
-    return Fraction(genus0_value) / 12 + Fraction(reduced_term)
+    invariant and the reduced term: ``genus0_value / 12 + reduced_term``, the
+    :func:`gw_difference` of real dimension 6 with ``c1_pairing`` 0 added to
+    the reduced term."""
+    return gw_difference(6, 0, genus0_value) + Fraction(reduced_term)
 
 
 def gw_difference(real_dim: int, c1_pairing, genus0_value) -> Fraction:
@@ -112,20 +116,14 @@ def bps0_from_gw0(gw0) -> BPSTable:
     table = _as_table(gw0)
     bps = {}
     for d in sorted(table):
-        correction = sum(
-            (bps[d // k] / Fraction(k) ** 3 for k in _divisors(d) if k > 1), Fraction(0)
-        )
-        bps[d] = table[d] - correction
+        bps[d] = table[d] - _cover_sum(bps, d, 3, start=2)
     return BPSTable(0, bps)
 
 
 def gw0_from_bps0(bps0: BPSTable) -> dict:
     """Forward genus-zero multiple-cover sum: ``N0(d) = sum over divisors k
     of n0(d/k) / k**3``."""
-    return {
-        d: sum((bps0[d // k] / Fraction(k) ** 3 for k in _divisors(d)), Fraction(0))
-        for d in range(1, bps0.max_degree + 1)
-    }
+    return {d: _cover_sum(bps0, d, 3) for d in range(1, bps0.max_degree + 1)}
 
 
 def bps1_from_gw1(gw1, bps0: BPSTable) -> BPSTable:
@@ -139,9 +137,7 @@ def bps1_from_gw1(gw1, bps0: BPSTable) -> BPSTable:
         raise ValueError("genus-zero counts must cover every requested degree")
     bps = {}
     for d in sorted(table):
-        genus0_part = sum((bps0[d // k] / k for k in _divisors(d)), Fraction(0)) / 12
-        lower = sum((bps[d // k] / k for k in _divisors(d) if k > 1), Fraction(0))
-        bps[d] = table[d] - genus0_part - lower
+        bps[d] = table[d] - _cover_sum(bps0, d, 1) / 12 - _cover_sum(bps, d, 1, start=2)
     return BPSTable(1, bps)
 
 
@@ -150,9 +146,7 @@ def gw1_from_bps(bps0: BPSTable, bps1: BPSTable) -> dict:
     divisors k of n0(d/k) / k + sum over divisors k of n1(d/k) / k``."""
     top = min(bps0.max_degree, bps1.max_degree)
     return {
-        d: sum((bps0[d // k] / k for k in _divisors(d)), Fraction(0)) / 12
-        + sum((bps1[d // k] / k for k in _divisors(d)), Fraction(0))
-        for d in range(1, top + 1)
+        d: _cover_sum(bps0, d, 1) / 12 + _cover_sum(bps1, d, 1) for d in range(1, top + 1)
     }
 
 
@@ -250,7 +244,7 @@ def parse_degree_table(text, name, columns=1, max_degree=None) -> list:
                 raise ValueError("degree must be at least 1")
             if degree in rows:
                 raise ValueError(f"degree {degree} appears twice")
-            rows[degree] = [parse_fraction(field) for field in fields[1:]]
+            rows[degree] = [Fraction(field) for field in fields[1:]]
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"{name}:{number}: {exc}") from None
     try:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Insertion",
     "CITarget",
     "WeightVector",
     "DimensionQuery",
@@ -21,50 +20,16 @@ __all__ = [
     "is_positive_system",
     "positivity_check",
     "expected_dimension",
-    "parse_fraction",
-    "format_fraction",
 ]
-
-
-def parse_fraction(text: str) -> Fraction:
-    """Parse ``"num/den"``, or a plain integer string, into an exact Fraction."""
-    return Fraction(text.strip())
-
-
-def format_fraction(value) -> str:
-    """Render an exact rational as ``num/den``, or ``num`` when integral.
-
-    EXAMPLES::
-
-        >>> format_fraction(Fraction(4876875, 8))
-        '4876875/8'
-        >>> format_fraction(Fraction(2875))
-        '2875'
-    """
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
-@dataclass(frozen=True)
-class Insertion:
-    """One marked-point condition: the ``power``-th power of the hyperplane
-    class pulled back by evaluation at that mark.  ``power`` is the complex
-    codimension the condition imposes."""
-
-    power: int
-
-    def __post_init__(self):
-        if not isinstance(self.power, int) or self.power < 0:
-            raise ValueError(f"insertion power must be a nonnegative integer, got {self.power!r}")
 
 
 @dataclass(frozen=True)
 class CITarget:
     """A degree-``curve_degree`` counting problem for a complete intersection
     of hypersurface degrees ``degrees`` inside projective space of dimension
-    ``ambient_dim``, with one marked point per entry of ``insertions``.
+    ``ambient_dim``, with one marked point per entry of ``insertions``: the
+    entry is the power of the hyperplane class pulled back by evaluation at
+    that mark, the complex codimension the condition imposes.
 
     ``degrees`` may be empty (count curves in the ambient space itself).
     Degree-0 factors are constructible so that the positivity predicate has
@@ -78,10 +43,10 @@ class CITarget:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
-        normalized = tuple(
-            item if isinstance(item, Insertion) else Insertion(item) for item in self.insertions
-        )
-        object.__setattr__(self, "insertions", normalized)
+        object.__setattr__(self, "insertions", tuple(self.insertions))
+        for power in self.insertions:
+            if not isinstance(power, int) or power < 0:
+                raise ValueError(f"insertion power must be a nonnegative integer, got {power!r}")
         n = self.ambient_dim
         if not isinstance(n, int) or n < 1:
             raise ValueError("ambient dimension must be a positive integer")
@@ -93,17 +58,8 @@ class CITarget:
             raise ValueError("hypersurface degrees must be nonnegative")
         if len(self.degrees) >= n:
             raise ValueError("need fewer hypersurface factors than the ambient dimension")
-        if any(ins.power > n for ins in self.insertions):
+        if any(power > n for power in self.insertions):
             raise ValueError("insertion power exceeds the ambient dimension")
-
-    @property
-    def num_marks(self) -> int:
-        return len(self.insertions)
-
-    @property
-    def cut_dimension(self) -> int:
-        """Complex dimension of the complete intersection itself."""
-        return self.ambient_dim - len(self.degrees)
 
 
 @dataclass(frozen=True)
@@ -122,12 +78,6 @@ class WeightVector:
             raise ValueError("weights must be strictly positive")
         if len(set(ws)) != len(ws):
             raise ValueError("weights must be pairwise distinct")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def __getitem__(self, index: int) -> Fraction:
-        return self.weights[index]
 
     @property
     def ambient_dim(self) -> int:

@@ -130,7 +130,7 @@ class ReferenceEvaluator:
         value = self._core(graph, valence, flags, recip_sums, mark_counts)
         for label, marks in graph.vertices:
             for mark in marks:
-                value *= self.lam[label] ** insertions[mark - 1].power
+                value *= self.lam[label] ** insertions[mark - 1]
         return value / self._symmetry_divisor(graph)
 
     def summed_value(self, graph: FixedGraph) -> Fraction:
@@ -147,16 +147,16 @@ class ReferenceEvaluator:
         """
         valence, flags, recip_sums = self._geometry(graph)
         value = self._core(graph, valence, flags, recip_sums, [0] * len(graph.vertices))
-        for insertion in self.target.insertions:
+        for power in self.target.insertions:
             vertex_sum = Fraction(0)
             for v, (label, _marks) in enumerate(graph.vertices):
-                vertex_sum += recip_sums[v] * self.lam[label] ** insertion.power
+                vertex_sum += recip_sums[v] * self.lam[label] ** power
             value *= vertex_sum
         return value / self._symmetry_divisor(graph)
 
 
 def permuted(weights: WeightVector, perm) -> WeightVector:
     """``weights`` rearranged so position ``i`` holds the old entry ``perm[i]``."""
-    if sorted(perm) != list(range(len(weights))):
+    if sorted(perm) != list(range(len(weights.weights))):
         raise ValueError("not a permutation of the weight positions")
-    return WeightVector(tuple(weights[p] for p in perm))
+    return WeightVector(tuple(weights.weights[p] for p in perm))

@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import gwlocal
-from gwlocal import ENGINE_VERSION, WeightVector, cache_key, localization, parse_fraction
+from gwlocal import WeightVector, localization
+from gwlocal.cache import cache_key
 from gwlocal.cli import main
+from gwlocal.localization import ENGINE_VERSION
 
 
 def run(capsys, *argv):
@@ -105,6 +107,18 @@ class TestGenus0:
             "--insertions", "2,x", "--cache-dir", cache_dir,
         )
         assert code == 1
+
+    def test_negative_insertion_exit_1(self, capsys, cache_dir):
+        code, out, err = run(
+            capsys,
+            "genus0", "--ambient-dim", "2", "--curve-degree", "1", "--insertions", "-1",
+            "--cache-dir", cache_dir,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "gwlocal genus0: error: insertion power must be a nonnegative integer, got -1\n"
+        )
 
     def test_nonpositive_factor_exit_1(self, capsys, cache_dir):
         code, _out, err = run(
@@ -401,7 +415,7 @@ class TestWdvv:
         assert code == 0
         rows = json.loads(out)["rows"]
         values = {
-            row["degree"]: parse_fraction(row["count"]["num"] + "/" + row["count"]["den"])
+            row["degree"]: Fraction(row["count"]["num"] + "/" + row["count"]["den"])
             for row in rows
         }
         assert values == {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304}

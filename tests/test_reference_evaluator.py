@@ -15,12 +15,11 @@ import pytest
 
 from gwlocal import (
     CITarget,
-    DegenerateWeights,
     FixedGraph,
     WeightVector,
     sample_weights,
 )
-from gwlocal.localization import _Evaluator
+from gwlocal.localization import DegenerateWeights, _Evaluator
 
 import reference_graphs
 from reference_evaluator import ReferenceEvaluator
@@ -51,7 +50,7 @@ def assert_terms_agree(target, weights):
 
 
 def _name(target):
-    powers = "".join(str(ins.power) for ins in target.insertions)
+    powers = "".join(map(str, target.insertions))
     degrees = "".join(map(str, target.degrees))
     return f"P{target.ambient_dim}[{degrees}]-d{target.curve_degree}-{powers or 'none'}"
 

@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 
 from gwlocal import (
     BPSTable,
-    UnsupportedDimension,
     bps0_from_gw0,
     bps1_from_gw1,
     genus1_from_reduced,
     gw0_from_bps0,
     gw1_from_bps,
-    gw_difference,
     load_table1,
     reproduce_table1,
     wdvv_p2,
 )
+from gwlocal.relations import UnsupportedDimension, gw_difference
 
 from oracles import forward_gw0, forward_gw1
 

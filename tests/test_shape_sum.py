@@ -13,8 +13,8 @@ from functools import lru_cache
 
 import pytest
 
-from gwlocal import CITarget, DegenerateWeights, WeightVector, sample_weights
-from gwlocal.localization import _summands, _totals_at
+from gwlocal import CITarget, WeightVector, sample_weights
+from gwlocal.localization import DegenerateWeights, _summands, _totals_at
 
 import reference_graphs
 from reference_evaluator import ReferenceEvaluator
