@@ -20,12 +20,17 @@ once, into one ``fractions.Fraction``; totals and results are exact
 There are two sums, and the target's insertions alone select between them.
 A target with insertions is summed class by class: the tree classes are
 enumerated once, and each class's term carries the insertions as vertex
-sums.  A target without insertions is summed shape by shape: for each
-degree-decorated shape a dynamic programme over vertex labels adds up the
-terms of all of its labellings at once, so no class is listed, and the class
-count reported with the result comes from the multiplicities of equal
-branches in each shape.  A mark-count state would carry insertions through
-the same programme, but it is far slower than the class sum on
+sums.  Every denominator of those sums is fixed per label: the reciprocal
+flag sum at a vertex labelled ``i`` is a small integer over the tangent
+product ``T_i``, and each mark's vertex sum is an integer over
+``L = lcm(T_0, ..., T_n)``.  The marks' common denominator ``L^k`` is the
+same for every class, so it is divided out once per slice of classes rather
+than once per class.  A target without insertions is summed shape by shape:
+for each degree-decorated shape a dynamic programme over vertex labels adds
+up the terms of all of its labellings at once, so no class is listed, and
+the class count reported with the result comes from the multiplicities of
+equal branches in each shape.  A mark-count state would carry insertions
+through the same programme, but it is far slower than the class sum on
 point-insertion targets, so those keep the class sum.
 """
 
@@ -133,12 +138,17 @@ class _Evaluator:
     multiply.  For an unbalanced target the value is the term at ``p``.
 
     Edge factors recur across trees, so each one, whole, is memoized once per
-    (pair, degree) as an integer numerator and denominator; the tangent
-    product at each fixed point is computed once per label.
-    :meth:`summed_value` evaluates one tree; :meth:`shape_value` sums every
-    labelling of one shape, from the same memoized factors, and shares the
-    tables of equal subtrees across shapes.  Instances are cheap and
-    process-local; each worker builds its own.
+    (pair, degree) as an integer numerator and denominator.  Everything the
+    class sum needs per label is computed once: the tangent product ``T_i``,
+    the cofactors ``T_i / (p_i - p_j)`` that put every reciprocal flag sum
+    over ``T_i``, the fixed parts of the vertex factors, and each insertion
+    power's mark coefficients over the common denominator ``L``, the lcm of
+    the ``T_i``.  :meth:`summed_value` evaluates one tree and
+    :meth:`classes_total` a slice of trees, dividing by the marks' ``L^k``
+    once; :meth:`shape_value` sums every labelling of one shape, from the
+    same memoized edge factors, and shares the tables of equal subtrees
+    across shapes.  Instances are cheap and process-local; each worker
+    builds its own.
     """
 
     def __init__(self, weights: WeightVector, target: CITarget):
@@ -155,8 +165,29 @@ class _Evaluator:
             prod(pi - pk for k, pk in enumerate(self.p) if k != i) for i, pi in enumerate(self.p)
         )
         self._bundle_vertex = tuple(prod(a * pi for a in degrees) for pi in self.p)
+        # [i][j]: the cofactor T_i / (p_i - p_j), an integer; a flag of degree
+        # de at label i towards label j has reciprocal weight de * [i][j] / T_i
+        self._cofactor = tuple(
+            tuple(ti // (pi - pj) if i != j else 0 for j, pj in enumerate(self.p))
+            for i, (pi, ti) in enumerate(zip(self.p, self._tangent))
+        )
+        # [i][val - 1]: T_i^2 and B_i^(val-1), the parts of the class sum's
+        # vertex factor fixed by label and valence; a tree of degree d has
+        # at most d edges, so 1 <= val <= d
+        self._vertex_parts = tuple(
+            tuple((t * t, b**e) for e in range(target.curve_degree))
+            for t, b in zip(self._tangent, self._bundle_vertex)
+        )
+        # per distinct insertion power w: p_i^w * L / T_i per label, and the
+        # number of marks of that power; L^k is the marks' common denominator
+        common = lcm(*self._tangent)
+        scales = [common // ti for ti in self._tangent]
         powers = target.insertions
-        self._insertion_powers = tuple((w, powers.count(w)) for w in sorted(set(powers)))
+        self._mark_coefficients = tuple(
+            (tuple(pi**w * si for pi, si in zip(self.p, scales)), powers.count(w))
+            for w in sorted(set(powers))
+        )
+        self._mark_denominator = common ** len(powers)
         self._edge_memo = {}
         self._edge_tables = {}
         self._flag_tables = {}
@@ -200,68 +231,80 @@ class _Evaluator:
             self._edge_memo[key] = value
         return value
 
+    def _class_term(self, graph):
+        # (num, den) with num / den the term of summed_value times the mark
+        # denominator L^k; at a vertex labelled i with flag sum R_v / T_i,
+        # num and den carry T_i^2 * R_v^(val-3) / B_i^(val-1)
+        labels = [label for label, _marks in graph.vertices]
+        nv = len(labels)
+        valence = [0] * nv
+        flag = [0] * nv
+        cofactor = self._cofactor
+        edge = self._edge
+        num = 1
+        den = graph.aut_order
+        for u, v, de in graph.edges:
+            i, j = labels[u], labels[v]
+            valence[u] += 1
+            valence[v] += 1
+            # flag weights are (p_i - p_j) / de at u and its negative at v,
+            # with reciprocals de * cof[i][j] / T_i and de * cof[j][i] / T_j
+            flag[u] += de * cofactor[i][j]
+            flag[v] += de * cofactor[j][i]
+            edge_num, edge_den = edge(i, j, de)
+            num *= edge_num
+            den *= edge_den
+        vertex_parts = self._vertex_parts
+        for label, val, r in zip(labels, valence, flag):
+            vertex_num, vertex_den = vertex_parts[label][val - 1]
+            num *= vertex_num
+            den *= vertex_den
+            if val > 3:
+                num *= r ** (val - 3)
+            elif val < 3:
+                if r == 0:
+                    raise DegenerateWeights(
+                        f"reciprocal flag weights at a vertex labelled {label} summed to zero"
+                    )
+                den *= r ** (3 - val)
+        for coefficients, count in self._mark_coefficients:
+            num *= sum(r * coefficients[label] for label, r in zip(labels, flag)) ** count
+        return num, den
+
     def summed_value(self, graph: FixedGraph) -> Fraction:
         """Contribution of an unmarked tree, summed over all ways of placing
         the target's marks on it.
 
         Placing mark ``l`` at vertex ``v`` multiplies the unmarked
-        contribution by ``rnum[v] / rden[v] * p[label(v)] ** power(l)``, and the
-        placements are independent, so the sum over placements factors into
-        one vertex sum per mark.  Summing the factored form over unmarked
-        classes weighted by ``1/aut`` equals summing the explicit form over
-        marked classes (orbit counting), with enumeration cost independent of
-        the mark count.  Marks of equal power share one vertex sum.
+        contribution by the reciprocal flag sum at ``v`` times
+        ``p[label(v)] ** power(l)``, and the placements are independent, so
+        the sum over placements factors into one vertex sum per mark.
+        Summing the factored form over unmarked classes weighted by ``1/aut``
+        equals summing the explicit form over marked classes (orbit
+        counting), with enumeration cost independent of the mark count.
+        Marks of equal power share one vertex sum.
+
+        Every denominator that depends on the tree alone is fixed per label.
+        At a vertex labelled ``i`` the reciprocal flag sum is ``R_v / T_i``,
+        with ``T_i`` the tangent product and ``R_v`` the small integer
+        ``sum_f de_f * T_i / (p_i - p_j_f)`` over its flags, so the vertex
+        factor is ``T_i^2 R_v^(val-3) / B_i^(val-1)``.  A mark's vertex sum
+        of power ``w`` is ``S_w / L``, with ``L = lcm(T_0, ..., T_n)`` and
+        ``S_w = sum_v R_v p_i^w L / T_i``.  The mark denominator ``L^k``,
+        ``k`` the mark count, is the same for every tree, so
+        :meth:`classes_total` divides it out once per slice; this method
+        divides it out of one tree's term.
         """
-        p = self.p
-        labels = [label for label, _marks in graph.vertices]
-        nv = len(labels)
-        valence = [0] * nv
-        # rnum[v] / rden[v] is the sum of reciprocal flag weights at v
-        rnum = [0] * nv
-        rden = [1] * nv
-        num = 1
-        den = graph.aut_order
-        for u, v, de in graph.edges:
-            i, j = labels[u], labels[v]
-            diff = p[i] - p[j]
-            valence[u] += 1
-            valence[v] += 1
-            # flag weights are omega = diff / de at u and -omega at v: their
-            # reciprocals enter the vertex sums, and the edge factor divides
-            # by both
-            rnum[u] = rnum[u] * diff + de * rden[u]
-            rden[u] *= diff
-            rnum[v] = rnum[v] * diff - de * rden[v]
-            rden[v] *= diff
-            edge_num, edge_den = self._edge(i, j, de)
-            num *= edge_num
-            den *= edge_den
-        for v in range(nv):
-            # tangent^(val-1) * prod_a (a p)^(1-val) * recip^(val-3); a tree
-            # has an edge, since the curve degree is positive, so val >= 1
-            label = labels[v]
-            e = valence[v] - 1
-            if e > 0:
-                num *= self._tangent[label] ** e
-                den *= self._bundle_vertex[label] ** e
-            exponent = e - 2
-            if exponent > 0:
-                num *= rnum[v] ** exponent
-                den *= rden[v] ** exponent
-            elif exponent < 0:
-                if rnum[v] == 0:
-                    raise DegenerateWeights(f"reciprocal flag weights at vertex {v} summed to zero")
-                num *= rden[v] ** -exponent
-                den *= rnum[v] ** -exponent
-        for power, count in self._insertion_powers:
-            # sum_v (rn/rd) p_v^power over the common denominator prod rd
-            snum, sden = 0, 1
-            for label, rn, rd in zip(labels, rnum, rden):
-                snum = snum * rd + rn * p[label] ** power * sden
-                sden *= rd
-            num *= snum**count
-            den *= sden**count
-        return Fraction(num, den)
+        num, den = self._class_term(graph)
+        return Fraction(num, den * self._mark_denominator)
+
+    def classes_total(self, graphs) -> Fraction:
+        """Sum of :meth:`summed_value` over ``graphs``, with the mark
+        denominator ``L^k`` divided out once instead of once per tree."""
+        total = Fraction(0)
+        for graph in graphs:
+            total += Fraction(*self._class_term(graph))
+        return total / self._mark_denominator
 
     def _edge_table(self, de):
         # [i][j]: the factor of an edge of degree de between labels i and j,
@@ -412,6 +455,10 @@ class _Evaluator:
             total += self._vertex_factor(i, len(tree) - 1) * below
         return total / aut_order
 
+    def shapes_total(self, shapes) -> Fraction:
+        """Sum of :meth:`shape_value` over ``shapes``."""
+        return sum(map(self.shape_value, shapes), Fraction(0))
+
 
 def lines_closed_form(n: int, degrees, weights: WeightVector) -> Fraction:
     """Degree-1 invariant summed directly over pairs of fixed points.
@@ -449,7 +496,7 @@ class EngineResult:
     weight_seeds: tuple
 
 
-# the term method, its items, the target and the slice count of the call a
+# the slice method, its items, the target and the slice count of the call a
 # pool worker serves; set once per worker by the pool's initializer, never in
 # the calling process
 _worker_shared = None
@@ -466,14 +513,10 @@ def _slice_total(shared, task):
     rather than raised so that one bad vector does not abort a whole map."""
     term, items, target, slice_count = shared
     weights, index = task
-    evaluator = _Evaluator(weights, target)
-    total = Fraction(0)
     try:
-        for item in items[index::slice_count]:
-            total += term(evaluator, item)
+        return term(_Evaluator(weights, target), items[index::slice_count])
     except DegenerateWeights:
         return None
-    return total
 
 
 def _pooled_slice_total(task):
@@ -482,20 +525,20 @@ def _pooled_slice_total(task):
 
 def _summands(target):
     """The terms of ``target``'s fixed-point sum: the :class:`_Evaluator`
-    method that evaluates one, the items it takes, and the number of tree
-    classes they cover.
+    method that sums a slice of them, the items it takes, and the number of
+    tree classes they cover.
 
     A target with insertions is summed class by class, with
-    :meth:`_Evaluator.summed_value` over :func:`enumerate_graphs`; one
-    without is summed shape by shape, with :meth:`_Evaluator.shape_value`
+    :meth:`_Evaluator.classes_total` over :func:`enumerate_graphs`; one
+    without is summed shape by shape, with :meth:`_Evaluator.shapes_total`
     over :func:`decorated_shapes`, which lists no class.
     """
     n, d = target.ambient_dim, target.curve_degree
     if target.insertions:
         graphs = tuple(enumerate_graphs(n, d, 0))
-        return _Evaluator.summed_value, graphs, len(graphs)
+        return _Evaluator.classes_total, graphs, len(graphs)
     shapes = tuple(decorated_shapes(n, d))
-    return _Evaluator.shape_value, shapes, sum(classes for _tree, _aut, classes in shapes)
+    return _Evaluator.shapes_total, shapes, sum(classes for _tree, _aut, classes in shapes)
 
 
 def ProcessPoolExecutor(*args, **kwargs):

@@ -243,10 +243,11 @@ class TestCertification:
     def test_weight_dependent_sum_is_refused(self, monkeypatch, jobs):
         # each sum skewed through the method its target runs: the quintic has
         # no insertions and is summed by shape (4 at d=3, enough for a pool
-        # of 2), the plane cubics through 8 points by class (39)
+        # of 2), the plane cubics through 8 points by class (39), a slice of
+        # classes at a time
         for method, target in [
             ("shape_value", CITarget(4, (5,), 3)),
-            ("summed_value", CITarget(2, (), 3, (2,) * 8)),
+            ("classes_total", CITarget(2, (), 3, (2,) * 8)),
         ]:
             real = getattr(_Evaluator, method)
 
