@@ -20,18 +20,23 @@ once, into one ``fractions.Fraction``; totals and results are exact
 There are two sums, and the target's insertions alone select between them.
 A target with insertions is summed class by class: the tree classes are
 enumerated once, and each class's term carries the insertions as vertex
-sums.  Every denominator of those sums is fixed per label: the reciprocal
-flag sum at a vertex labelled ``i`` is a small integer over the tangent
-product ``T_i``, and each mark's vertex sum is an integer over
-``L = lcm(T_0, ..., T_n)``.  The marks' common denominator ``L^k`` is the
-same for every class, so it is divided out once per slice of classes rather
-than once per class.  A target without insertions is summed shape by shape:
-for each degree-decorated shape a dynamic programme over vertex labels adds
-up the terms of all of its labellings at once, so no class is listed, and
-the class count reported with the result comes from the multiplicities of
+sums.  A target without insertions is summed shape by shape: for each
+degree-decorated shape a dynamic programme over vertex labels adds up the
+terms of all of its labellings at once, so no class is listed, and the
+class count reported with the result comes from the multiplicities of
 equal branches in each shape.  A mark-count state would carry insertions
 through the same programme, but it is far slower than the class sum on
 point-insertion targets, so those keep the class sum.
+
+Both sums read one set of per-label integer tables, and every denominator
+in them is fixed per label.  A flag of degree ``de`` at a vertex labelled
+``i`` towards label ``j`` is the integer ``de * T_i / (p_i - p_j)`` over
+the tangent product ``T_i``, so the reciprocal flag sum at the vertex is a
+small integer over ``T_i``, and its vertex factor is that integer's power
+times ``T_i^2 / B_i^(val-1)``, ``B_i`` the hypersurface base.  In the class
+sum each mark's vertex sum is an integer over ``L = lcm(T_0, ..., T_n)``;
+the marks' common denominator ``L^k`` is the same for every class, so it
+is divided out once per slice of classes rather than once per class.
 """
 
 from __future__ import annotations
@@ -138,15 +143,16 @@ class _Evaluator:
     multiply.  For an unbalanced target the value is the term at ``p``.
 
     Edge factors recur across trees, so each one, whole, is memoized once per
-    (pair, degree) as an integer numerator and denominator.  Everything the
-    class sum needs per label is computed once: the tangent product ``T_i``,
-    the cofactors ``T_i / (p_i - p_j)`` that put every reciprocal flag sum
-    over ``T_i``, the fixed parts of the vertex factors, and each insertion
+    (pair, degree) as an integer numerator and denominator.  Everything else
+    both sums need per label is one family of integer tables, computed once:
+    the cofactors ``T_i / (p_i - p_j)``, with ``T_i`` the tangent product,
+    that put every reciprocal flag sum over ``T_i``, the fixed parts
+    ``T_i^2`` and ``B_i^(val-1)`` of the vertex factors, and each insertion
     power's mark coefficients over the common denominator ``L``, the lcm of
     the ``T_i``.  :meth:`summed_value` evaluates one tree and
     :meth:`classes_total` a slice of trees, dividing by the marks' ``L^k``
-    once; :meth:`shape_value` sums every labelling of one shape, from the
-    same memoized edge factors, and shares the tables of equal subtrees
+    once; :meth:`shape_value` sums every labelling of one shape from the
+    same edge memo and tables, and shares the tables of equal subtrees
     across shapes.  Instances are cheap and process-local; each worker
     builds its own.
     """
@@ -158,30 +164,29 @@ class _Evaluator:
         scale = lcm(*(w.denominator for w in lam))
         self.p = tuple(w.numerator * (scale // w.denominator) for w in lam)
         self.target = target
-        degrees = target.degrees
-        # per label: prod_{k != i} (p_i - p_k) and prod_a a * p_i, the bases of
-        # the tangent and hypersurface vertex factors
-        self._tangent = tuple(
+        # per label: the tangent product T_i = prod_{k != i} (p_i - p_k) and
+        # B_i = prod_a a * p_i, the bases of the vertex factors
+        tangent = tuple(
             prod(pi - pk for k, pk in enumerate(self.p) if k != i) for i, pi in enumerate(self.p)
         )
-        self._bundle_vertex = tuple(prod(a * pi for a in degrees) for pi in self.p)
+        bundle_vertex = tuple(prod(a * pi for a in target.degrees) for pi in self.p)
         # [i][j]: the cofactor T_i / (p_i - p_j), an integer; a flag of degree
         # de at label i towards label j has reciprocal weight de * [i][j] / T_i
         self._cofactor = tuple(
             tuple(ti // (pi - pj) if i != j else 0 for j, pj in enumerate(self.p))
-            for i, (pi, ti) in enumerate(zip(self.p, self._tangent))
+            for i, (pi, ti) in enumerate(zip(self.p, tangent))
         )
-        # [i][val - 1]: T_i^2 and B_i^(val-1), the parts of the class sum's
-        # vertex factor fixed by label and valence; a tree of degree d has
-        # at most d edges, so 1 <= val <= d
+        # [i][val - 1]: T_i^2 and B_i^(val-1), the parts of the vertex factor
+        # fixed by label and valence; a tree of degree d has at most d edges,
+        # so 1 <= val <= d
         self._vertex_parts = tuple(
             tuple((t * t, b**e) for e in range(target.curve_degree))
-            for t, b in zip(self._tangent, self._bundle_vertex)
+            for t, b in zip(tangent, bundle_vertex)
         )
         # per distinct insertion power w: p_i^w * L / T_i per label, and the
         # number of marks of that power; L^k is the marks' common denominator
-        common = lcm(*self._tangent)
-        scales = [common // ti for ti in self._tangent]
+        common = lcm(*tangent)
+        scales = [common // ti for ti in tangent]
         powers = target.insertions
         self._mark_coefficients = tuple(
             (tuple(pi**w * si for pi, si in zip(self.p, scales)), powers.count(w))
@@ -189,9 +194,6 @@ class _Evaluator:
         )
         self._mark_denominator = common ** len(powers)
         self._edge_memo = {}
-        self._edge_tables = {}
-        self._flag_tables = {}
-        self._vertex_memo = {}
         self._branch_tables = {}
 
     def _edge(self, i, j, de):
@@ -306,61 +308,31 @@ class _Evaluator:
             total += Fraction(*self._class_term(graph))
         return total / self._mark_denominator
 
-    def _edge_table(self, de):
-        # [i][j]: the factor of an edge of degree de between labels i and j,
-        # as _edge gives it, None on the diagonal
-        table = self._edge_tables.get(de)
-        if table is None:
-            p = self.p
-            table = [[None] * len(p) for _ in p]
-            for i in range(len(p)):
-                for j in range(i + 1, len(p)):
-                    table[i][j] = table[j][i] = Fraction(*self._edge(i, j, de))
-            self._edge_tables[de] = table
-        return table
-
-    def _flag_table(self, de):
-        # [i][j]: the reciprocal weight de / (p_i - p_j) of the flag at a
-        # vertex labelled i on an edge of degree de towards label j
-        table = self._flag_tables.get(de)
-        if table is None:
-            p = self.p
-            table = [
-                [Fraction(de, pi - pj) if i != j else None for j, pj in enumerate(p)]
-                for i, pi in enumerate(p)
-            ]
-            self._flag_tables[de] = table
-        return table
-
-    def _vertex_factor(self, label, e):
-        # (tangent / bundle vertex)^e at a vertex of valence e + 1
-        key = (label, e)
-        value = self._vertex_memo.get(key)
-        if value is None:
-            value = Fraction(self._tangent[label] ** e, self._bundle_vertex[label] ** e)
-            self._vertex_memo[key] = value
-        return value
-
-    def _flag_power(self, label, rest):
-        # the power (sum of reciprocal flag weights)^(val - 3) at a vertex
-        # with the given label, summed over the labels of the branches behind
-        # all of its flags but one, as a function of the reciprocal weight x
-        # of that remaining flag: rest lists those branches
+    def _vertex_sum(self, label, rest):
+        # the vertex factor T_i^2 (r + sum_f R_f)^(val-3) / B_i^(val-1) of
+        # _class_term at a vertex labelled i, summed over the labels behind
+        # all of its flags but one, as a function of the integer
+        # r = de * cof[i][j] of that remaining flag: rest lists the branches
+        # behind the others, and a branch of degree de_f whose root is
+        # labelled c has R_f = de_f * cof[i][c]
+        tangent_square, bundle_power = self._vertex_parts[label][len(rest)]
+        cofactors = self._cofactor[label]
         if not rest:
-            return lambda x: 1 / (x * x)
+            return lambda r: Fraction(tangent_square, r * r)
+        scale = Fraction(tangent_square, bundle_power)
         if len(rest) == 1:
             (branch,) = rest
-            flags = self._flag_table(branch[0])[label]
+            de = branch[0]
             terms = [
-                (value, flags[c])
+                (value * scale, de * cofactors[c])
                 for c, value in enumerate(self._branch_table(branch)[label])
                 if c != label
             ]
 
-            def power(x):
+            def vertex_sum(r):
                 total = Fraction(0)
                 for value, flag in terms:
-                    weight = x + flag
+                    weight = r + flag
                     if not weight:
                         raise DegenerateWeights(
                             f"reciprocal flag weights at a vertex labelled {label} summed to zero"
@@ -368,52 +340,51 @@ class _Evaluator:
                     total += value / weight
                 return total
 
-            return power
-        # m = val - 3: (x + sum_f x_f)^m = m! [t^m] exp(x t) prod_f exp(x_f t),
-        # and summing over the labels behind flag f turns exp(x_f t) into
-        # sum_j s_f[j] t^j / j!, with s_f[j] the sum of value * x_f^j.  The
+            return vertex_sum
+        # m = val - 3: (r + sum_f R_f)^m = m! [t^m] exp(r t) prod_f exp(R_f t),
+        # and summing over the labels behind flag f turns exp(R_f t) into
+        # sum_j s_f[j] t^j / j!, with s_f[j] the sum of value * R_f^j.  The
         # product of such series, coefficients scaled by j!, is the binomial
         # convolution of the s_f
         m = len(rest) - 2
         series = [Fraction(1)] + [Fraction(0)] * m
         for branch in rest:
-            flags = self._flag_table(branch[0])[label]
+            de = branch[0]
             moments = [Fraction(0)] * (m + 1)
             for c, value in enumerate(self._branch_table(branch)[label]):
                 if c != label:
+                    flag = de * cofactors[c]
                     for j in range(m + 1):
                         moments[j] += value
-                        value *= flags[c]
+                        value *= flag
             series = [
                 sum(comb(k, j) * series[j] * moments[k - j] for j in range(k + 1))
                 for k in range(m + 1)
             ]
-        coefficients = [comb(m, j) * series[m - j] for j in range(m + 1)]
+        coefficients = [comb(m, j) * series[m - j] * scale for j in range(m + 1)]
 
-        def power(x):
+        def vertex_sum(r):
             total = coefficients[m]
             for coefficient in reversed(coefficients[:m]):
-                total = total * x + coefficient
+                total = total * r + coefficient
             return total
 
-        return power
+        return vertex_sum
 
     def _branch_table(self, branch):
         # [i][j]: the sum, over the labellings of the branch's subtree whose
         # root is labelled j below a parent labelled i, of its edge factor,
-        # its root's vertex factor and flag power, and everything below; None
-        # on the diagonal.  Equal branches, in one shape or several, share
-        # one table
+        # its root's vertex factor and everything below; None on the
+        # diagonal.  Equal branches, in one shape or several, share one table
         table = self._branch_tables.get(branch)
         if table is None:
             de, below = branch
-            factors = self._edge_table(de)
-            flags = self._flag_table(de)
+            cofactor = self._cofactor
             labels = range(len(self.p))
-            powers = [self._flag_power(j, below) for j in labels]
+            vertex_sums = [self._vertex_sum(j, below) for j in labels]
             table = [
                 [
-                    factors[i][j] * self._vertex_factor(j, len(below)) * powers[j](flags[j][i])
+                    Fraction(*self._edge(i, j, de)) * vertex_sums[j](de * cofactor[j][i])
                     if i != j
                     else None
                     for j in labels
@@ -435,24 +406,25 @@ class _Evaluator:
         :meth:`summed_value`'s term over every proper labelling, divided by
         ``aut_order`` (orbit-stabiliser counting).  That sum factors over the
         rooted tree: a branch's table holds, per parent label and own label,
-        the sum over its subtree's labellings of its edge factor, its vertex
-        factor and everything below it.  Every factor is the one
-        :meth:`summed_value` multiplies in, so a vector degenerates here
-        exactly when it degenerates on some class of the shape.
+        the sum over its subtree's labellings of its edge factor, its root's
+        vertex factor and everything below it.  Every factor is the one
+        :meth:`summed_value` multiplies in, read from the same tables: the
+        memoized edge factors, and the vertex factor
+        ``T_i^2 R_v^(val-3) / B_i^(val-1)`` with ``R_v`` the sum of the
+        integer flags ``de * T_i / (p_i - p_j)``.  So a vector degenerates
+        here exactly when it degenerates on some class of the shape.
         """
         tree, aut_order, _classes = shape
         # the root's first flag plays the parent flag's part
         first, *rest = tree
+        de = first[0]
         table = self._branch_table(first)
-        flags = self._flag_table(first[0])
         total = Fraction(0)
-        for i in range(len(self.p)):
-            power = self._flag_power(i, rest)
-            below = sum(
-                (value * power(flags[i][c]) for c, value in enumerate(table[i]) if i != c),
-                Fraction(0),
-            )
-            total += self._vertex_factor(i, len(tree) - 1) * below
+        for i, cofactors in enumerate(self._cofactor):
+            vertex_sum = self._vertex_sum(i, rest)
+            for c, value in enumerate(table[i]):
+                if c != i:
+                    total += value * vertex_sum(de * cofactors[c])
         return total / aut_order
 
     def shapes_total(self, shapes) -> Fraction:

@@ -83,10 +83,6 @@ class WeightVector:
     def ambient_dim(self) -> int:
         return len(self.weights) - 1
 
-    def scaled(self, factor) -> "WeightVector":
-        """The weight vector with every entry multiplied by ``factor``."""
-        return WeightVector(tuple(w * Fraction(factor) for w in self.weights))
-
 
 @dataclass(frozen=True)
 class DimensionQuery:

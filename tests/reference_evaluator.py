@@ -160,3 +160,8 @@ def permuted(weights: WeightVector, perm) -> WeightVector:
     if sorted(perm) != list(range(len(weights.weights))):
         raise ValueError("not a permutation of the weight positions")
     return WeightVector(tuple(weights.weights[p] for p in perm))
+
+
+def scaled(weights: WeightVector, factor) -> WeightVector:
+    """``weights`` with every entry multiplied by ``factor``."""
+    return WeightVector(tuple(w * Fraction(factor) for w in weights.weights))

@@ -19,7 +19,7 @@ from gwlocal import CITarget, WeightVector, sample_weights, sum_invariant, wdvv_
 from gwlocal.localization import DegenerateWeights, _summands, _totals_at
 
 import reference_graphs
-from reference_evaluator import ReferenceEvaluator
+from reference_evaluator import ReferenceEvaluator, scaled
 
 SCALES = (1, Fraction(7, 3), Fraction(1, 97))
 
@@ -71,7 +71,7 @@ CASES = [(target, scale) for target in TARGETS for scale in SCALES]
 
 @pytest.mark.parametrize("target, scale", CASES, ids=[f"{_name(t)}-x{s}" for t, s in CASES])
 def test_equals_reference_class_sum(target, scale):
-    weights = sample_weights(4, target.ambient_dim).scaled(scale)
+    weights = scaled(sample_weights(4, target.ambient_dim), scale)
     (total,) = _class_totals(target, [weights])
     assert total is not None
     assert total == _reference_total(target, weights)
@@ -86,7 +86,7 @@ def test_two_slices_equal_one(target):
     # the second vector degenerates (see below), and the pool must report it
     # as the serial sum does
     candidates = [
-        sample_weights(5, target.ambient_dim).scaled(Fraction(7, 3)),
+        scaled(sample_weights(5, target.ambient_dim), Fraction(7, 3)),
         WeightVector(tuple(range(1, target.ambient_dim + 2))),
         sample_weights(6, target.ambient_dim),
     ]
@@ -100,7 +100,7 @@ def test_two_slices_equal_one(target):
     [
         # 1 + 3 = 2 * 2: a degree-2 edge between labels 0 and 2 meets label 1
         (CITarget(2, (), 3, (2,) * 8), WeightVector((1, 2, 3)), True),
-        (CITarget(2, (), 2, (2,) * 5), WeightVector((1, 2, 3)).scaled(Fraction(1, 3)), True),
+        (CITarget(2, (), 2, (2,) * 5), scaled(WeightVector((1, 2, 3)), Fraction(1, 3)), True),
         (CITarget(3, (), 2, (2,) * 8), WeightVector((1, 2, 3, 4)), True),
         # 4 + 2 * 1 = 3 * 2 meets only a degree-3 edge: fine at d=2, not at d=3
         (CITarget(2, (), 2, (2,) * 5), WeightVector((1, 4, 2)), False),

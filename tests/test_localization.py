@@ -24,7 +24,7 @@ from gwlocal.localization import (
 )
 
 import reference_graphs
-from reference_evaluator import ReferenceEvaluator, permuted
+from reference_evaluator import ReferenceEvaluator, permuted, scaled
 
 
 class TestSampleWeights:
@@ -154,7 +154,7 @@ class TestCovariance:
     def test_scaling_leaves_total_fixed(self):
         target = CITarget(4, (5,), 2)
         w = sample_weights(11, 4)
-        assert self._total(target, w) == self._total(target, w.scaled(Fraction(7, 3)))
+        assert self._total(target, w) == self._total(target, scaled(w, Fraction(7, 3)))
 
     def test_permutation_leaves_total_fixed(self):
         target = CITarget(2, (), 2, (2, 2, 2, 2, 2))

@@ -22,7 +22,7 @@ from gwlocal import (
 from gwlocal.localization import DegenerateWeights, _Evaluator
 
 import reference_graphs
-from reference_evaluator import ReferenceEvaluator
+from reference_evaluator import ReferenceEvaluator, scaled
 
 SCALES = (1, Fraction(7, 3), Fraction(1, 97))
 
@@ -87,7 +87,7 @@ class TestSummedValue:
         "target, scale", CASES, ids=[f"{_name(t)}-x{scale}" for t, scale in CASES]
     )
     def test_low_degrees(self, target, scale):
-        weights = sample_weights(4, target.ambient_dim).scaled(scale)
+        weights = scaled(sample_weights(4, target.ambient_dim), scale)
         assert_terms_agree(target, weights)
 
     def test_quintic_degree_four(self):
@@ -95,7 +95,7 @@ class TestSummedValue:
         assert len(graphs) == 2475
 
     def test_plane_quartics_through_eleven_points(self):
-        weights = sample_weights(6, 2).scaled(Fraction(1, 97))
+        weights = scaled(sample_weights(6, 2), Fraction(1, 97))
         graphs = assert_terms_agree(_points_in_p2(4), weights)
         assert len(graphs) == 159
 
@@ -114,7 +114,7 @@ class TestMarkedValue:
         "target, scale", MARKED_CASES, ids=[f"{_name(t)}-x{s}" for t, s in MARKED_CASES]
     )
     def test_marked_classes(self, target, scale):
-        weights = sample_weights(2, target.ambient_dim).scaled(scale)
+        weights = scaled(sample_weights(2, target.ambient_dim), scale)
         kernel = _Evaluator(weights, target)
         factored = sum(map(kernel.summed_value, assert_terms_agree(target, weights)))
         reference = ReferenceEvaluator(weights, target)
@@ -147,7 +147,7 @@ class TestDegeneracy:
             (_points_in_p2(3), WeightVector((1, 2, 3))),
             (CITarget(2, (), 3, (2, 2, 2, 1, 1, 1)), WeightVector((2, 4, 6))),
             (_lines_in_p3(2), WeightVector((1, 2, 3, 4))),
-            (CITarget(4, (5,), 3), WeightVector((1, 2, 3, 4, 5)).scaled(Fraction(1, 3))),
+            (CITarget(4, (5,), 3), scaled(WeightVector((1, 2, 3, 4, 5)), Fraction(1, 3))),
         ],
         ids=lambda value: _name(value) if isinstance(value, CITarget) else "",
     )

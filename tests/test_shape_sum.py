@@ -17,7 +17,7 @@ from gwlocal import CITarget, WeightVector, sample_weights
 from gwlocal.localization import DegenerateWeights, _summands, _totals_at
 
 import reference_graphs
-from reference_evaluator import ReferenceEvaluator
+from reference_evaluator import ReferenceEvaluator, scaled
 
 SCALES = (1, Fraction(7, 3), Fraction(1, 97))
 
@@ -65,7 +65,7 @@ CASES = [(target, scale) for target in TARGETS for scale in SCALES] + [
 
 @pytest.mark.parametrize("target, scale", CASES, ids=[f"{_name(t)}-x{s}" for t, s in CASES])
 def test_equals_reference_class_sum(target, scale):
-    weights = sample_weights(4, target.ambient_dim).scaled(scale)
+    weights = scaled(sample_weights(4, target.ambient_dim), scale)
     total = _shape_total(target, weights)
     assert total is not None
     assert total == _reference_total(target, weights)
@@ -76,7 +76,7 @@ def test_equals_reference_class_sum(target, scale):
     [
         # 1 + 3 = 2 * 2: a degree-2 edge between labels 0 and 2 meets label 1
         (CITarget(4, (5,), 2), WeightVector((1, 2, 3, 10, 20)), True),
-        (CITarget(4, (5,), 3), WeightVector((1, 2, 3, 4, 5)).scaled(Fraction(1, 3)), True),
+        (CITarget(4, (5,), 3), scaled(WeightVector((1, 2, 3, 4, 5)), Fraction(1, 3)), True),
         (CITarget(5, (3, 3), 2), WeightVector((1, 2, 3, 4, 5, 6)), True),
         # 4 + 2 * 1 = 3 * 2 meets only a degree-3 edge: fine at d=2, not at d=3
         (CITarget(4, (5,), 2), WeightVector((1, 4, 2, 30, 50)), False),

@@ -16,7 +16,7 @@ from gwlocal import (
 )
 from gwlocal.targets import is_calabi_yau
 
-from reference_evaluator import permuted
+from reference_evaluator import permuted, scaled
 
 rationals = st.fractions(
     min_value=Fraction(-(10**6)), max_value=Fraction(10**6), max_denominator=10**4
@@ -128,7 +128,7 @@ class TestWeightVector:
         assert w.ambient_dim == 2
 
     def test_scaled(self):
-        w = WeightVector((1, 2, 7)).scaled(Fraction(3, 5))
+        w = scaled(WeightVector((1, 2, 7)), Fraction(3, 5))
         assert list(w.weights) == [Fraction(3, 5), Fraction(6, 5), Fraction(21, 5)]
 
     def test_permuted(self):
