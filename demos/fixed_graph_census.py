@@ -3,9 +3,10 @@ A census of torus-fixed loci
 ============================
 
 Each fixed locus of the torus action on genus-zero stable maps to Pn is a
-decorated tree: vertices sit at fixed points (labels 0..n), edges cover
-coordinate lines with some degree, and marked points ride on vertices.  The
-engine never sees individual curves, only these trees.
+decorated tree: vertices sit at fixed points (labels 0..n) and edges cover
+coordinate lines with some degree.  Marked points ride on vertices too, but
+the engine sums them per vertex and enumerates only the unmarked trees; it
+never sees individual curves.
 
 The census counts isomorphism classes, and checks them against a count of
 fully labeled trees by orbit-stabilizer: summing V!/|Aut| over classes must
@@ -29,10 +30,10 @@ print(f"\ndegree 4 in P4: {count} classes feed the graph sum")
 print("\nsmallest nontrivial census, P1 and degree 2:")
 graphs = list(enumerate_graphs(1, 2))
 # each class as its vertex labels and its (vertex, vertex, degree) edges
-for labels, edges, aut in sorted((g.labels(), g.edges, g.aut_order) for g in graphs):
+for labels, edges, aut in sorted((g.labels, g.edges, g.aut_order) for g in graphs):
     print(f"  labels {labels}  edges {edges}  aut={aut}")
 
-labeled = sum(factorial(g.num_vertices) // g.aut_order for g in graphs)
+labeled = sum(factorial(len(g.labels)) // g.aut_order for g in graphs)
 print(f"orbit-stabilizer: sum of V!/|Aut| = {labeled} labeled decorated trees")
 # by hand: the degree-2 edge has distinct endpoint labels, so no symmetry
 # and 2!/1 = 2 labeled copies; the paths 0-1-0 and 1-0-1 each carry a flip,

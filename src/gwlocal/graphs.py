@@ -3,8 +3,10 @@
 A fixed locus of the standard torus action on degree-``d`` stable maps to
 projective ``n``-space is encoded by a tree whose vertices carry fixed-point
 labels in ``0..n`` (adjacent labels distinct, since an edge covers the
-coordinate line joining two distinct fixed points), whose edges carry covering
-degrees summing to ``d``, and whose marked points ``1..k`` sit on vertices.
+coordinate line joining two distinct fixed points) and whose edges carry
+covering degrees summing to ``d``.  A map's marked points also sit on
+vertices, but no class here carries them: the engine places marks
+analytically, and only the tests' reference enumerator lists marked classes.
 
 :func:`decorated_shapes` yields the degree-decorated shapes (unlabeled
 trees with edge degrees), each generated once as a canonical rooted tuple of
@@ -31,25 +33,16 @@ __all__ = ["FixedGraph", "enumerate_graphs", "decorated_shapes"]
 
 @dataclass(frozen=True)
 class FixedGraph:
-    """One isomorphism class of decorated trees.
+    """One isomorphism class of decorated trees, without marks.
 
-    ``vertices[v]`` is ``(label, marks)`` with ``marks`` a sorted tuple of the
-    mark indices attached at ``v`` (empty in every class
-    :func:`enumerate_graphs` yields); ``edges`` holds ``(a, b, degree)``
-    triples with ``a < b``; ``aut_order`` is the order of the automorphism
-    group fixing labels, edge degrees, and mark attachments.
+    ``labels[v]`` is the fixed-point label of vertex ``v``; ``edges`` holds
+    ``(a, b, degree)`` triples with ``a < b``; ``aut_order`` is the order of
+    the automorphism group fixing labels and edge degrees.
     """
 
-    vertices: tuple
+    labels: tuple
     edges: tuple
     aut_order: int
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    def labels(self) -> tuple:
-        return tuple(label for label, _marks in self.vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +187,7 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
     order.  There is one class per class :func:`decorated_shapes` counts.
 
     ``k`` must be 0: the engine sums marks per vertex instead of enumerating
-    marked classes (see ``_Evaluator.summed_value``).
+    marked classes (see ``_Evaluator.classes_total``).
 
     EXAMPLES::
 
@@ -243,4 +236,4 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
         else:
             labelled = [cls for root in range(n + 1) for cls in classes(shape, root)]
         for labels, aut in labelled:
-            yield FixedGraph(tuple((label, ()) for label in labels), edges, aut)
+            yield FixedGraph(labels, edges, aut)

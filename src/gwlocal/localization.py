@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import partial
 from math import comb, factorial, lcm, prod
 
-from .graphs import FixedGraph, decorated_shapes, enumerate_graphs
+from .graphs import decorated_shapes, enumerate_graphs
 from .targets import (
     CITarget,
     DimensionQuery,
@@ -149,12 +149,11 @@ class _Evaluator:
     that put every reciprocal flag sum over ``T_i``, the fixed parts
     ``T_i^2`` and ``B_i^(val-1)`` of the vertex factors, and each insertion
     power's mark coefficients over the common denominator ``L``, the lcm of
-    the ``T_i``.  :meth:`summed_value` evaluates one tree and
-    :meth:`classes_total` a slice of trees, dividing by the marks' ``L^k``
-    once; :meth:`shape_value` sums every labelling of one shape from the
-    same edge memo and tables, and shares the tables of equal subtrees
-    across shapes.  Instances are cheap and process-local; each worker
-    builds its own.
+    the ``T_i``.  :meth:`classes_total` sums a slice of unmarked trees,
+    dividing by the marks' ``L^k`` once; :meth:`shape_value` sums every
+    labelling of one shape from the same edge memo and tables, and shares
+    the tables of equal subtrees across shapes.  Instances are cheap and
+    process-local; each worker builds its own.
     """
 
     def __init__(self, weights: WeightVector, target: CITarget):
@@ -234,10 +233,11 @@ class _Evaluator:
         return value
 
     def _class_term(self, graph):
-        # (num, den) with num / den the term of summed_value times the mark
-        # denominator L^k; at a vertex labelled i with flag sum R_v / T_i,
-        # num and den carry T_i^2 * R_v^(val-3) / B_i^(val-1)
-        labels = [label for label, _marks in graph.vertices]
+        # (num, den) with num / den the tree's term, summed over the
+        # placements of the marks, times the mark denominator L^k; at a
+        # vertex labelled i with flag sum R_v / T_i, num and den carry
+        # T_i^2 * R_v^(val-3) / B_i^(val-1)
+        labels = graph.labels
         nv = len(labels)
         valence = [0] * nv
         flag = [0] * nv
@@ -273,36 +273,23 @@ class _Evaluator:
             num *= sum(r * coefficients[label] for label, r in zip(labels, flag)) ** count
         return num, den
 
-    def summed_value(self, graph: FixedGraph) -> Fraction:
-        """Contribution of an unmarked tree, summed over all ways of placing
-        the target's marks on it.
-
-        Placing mark ``l`` at vertex ``v`` multiplies the unmarked
-        contribution by the reciprocal flag sum at ``v`` times
-        ``p[label(v)] ** power(l)``, and the placements are independent, so
-        the sum over placements factors into one vertex sum per mark.
-        Summing the factored form over unmarked classes weighted by ``1/aut``
-        equals summing the explicit form over marked classes (orbit
-        counting), with enumeration cost independent of the mark count.
-        Marks of equal power share one vertex sum.
-
-        Every denominator that depends on the tree alone is fixed per label.
-        At a vertex labelled ``i`` the reciprocal flag sum is ``R_v / T_i``,
-        with ``T_i`` the tangent product and ``R_v`` the small integer
-        ``sum_f de_f * T_i / (p_i - p_j_f)`` over its flags, so the vertex
-        factor is ``T_i^2 R_v^(val-3) / B_i^(val-1)``.  A mark's vertex sum
-        of power ``w`` is ``S_w / L``, with ``L = lcm(T_0, ..., T_n)`` and
-        ``S_w = sum_v R_v p_i^w L / T_i``.  The mark denominator ``L^k``,
-        ``k`` the mark count, is the same for every tree, so
-        :meth:`classes_total` divides it out once per slice; this method
-        divides it out of one tree's term.
-        """
-        num, den = self._class_term(graph)
-        return Fraction(num, den * self._mark_denominator)
-
     def classes_total(self, graphs) -> Fraction:
-        """Sum of :meth:`summed_value` over ``graphs``, with the mark
-        denominator ``L^k`` divided out once instead of once per tree."""
+        """Sum of the contributions of the unmarked trees ``graphs``, each
+        summed over all ways of placing the target's marks on it;
+        ``classes_total((graph,))`` is one tree's contribution.
+
+        Placing mark ``l`` at vertex ``v`` multiplies the unmarked term by
+        the reciprocal flag sum at ``v`` times ``p[label(v)] ** power(l)``,
+        and the placements are independent, so they factor into one vertex
+        sum per mark, shared by marks of equal power.  Weighted by
+        ``1/aut``, this equals the sum over marked classes (orbit counting).
+        At a vertex labelled ``i`` the reciprocal flag sum is ``R_v / T_i``,
+        with ``R_v`` the integer ``sum_f de_f * T_i / (p_i - p_j_f)``, so the
+        vertex factor is ``T_i^2 R_v^(val-3) / B_i^(val-1)`` and a mark's
+        vertex sum of power ``w`` is ``sum_v R_v p_i^w (L / T_i)`` over
+        ``L = lcm(T_0, ..., T_n)``.  The marks' denominator ``L^k`` is the
+        same for every tree, so it is divided out once, not once per tree.
+        """
         total = Fraction(0)
         for graph in graphs:
             total += Fraction(*self._class_term(graph))
@@ -403,12 +390,12 @@ class _Evaluator:
         tuple of ``(edge degree, subtree)`` branches.  Each class is an orbit
         of proper labellings under the shape's automorphism group, with the
         stabiliser as its ``aut_order``, so the classes' sum is the sum of
-        :meth:`summed_value`'s term over every proper labelling, divided by
+        :meth:`classes_total`'s term over every proper labelling, divided by
         ``aut_order`` (orbit-stabiliser counting).  That sum factors over the
         rooted tree: a branch's table holds, per parent label and own label,
         the sum over its subtree's labellings of its edge factor, its root's
         vertex factor and everything below it.  Every factor is the one
-        :meth:`summed_value` multiplies in, read from the same tables: the
+        :meth:`classes_total` multiplies in, read from the same tables: the
         memoized edge factors, and the vertex factor
         ``T_i^2 R_v^(val-3) / B_i^(val-1)`` with ``R_v`` the sum of the
         integer flags ``de * T_i / (p_i - p_j)``.  So a vector degenerates

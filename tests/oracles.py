@@ -81,7 +81,7 @@ def orbit_sum(graphs):
     By orbit-stabilizer this equals the number of decorated trees on a fixed
     vertex set, i.e. count_labeled_decorated_trees on matching inputs.
     """
-    return sum(Fraction(factorial(g.num_vertices), g.aut_order) for g in graphs)
+    return sum(Fraction(factorial(len(g.labels)), g.aut_order) for g in graphs)
 
 
 def forward_gw0(bps0):

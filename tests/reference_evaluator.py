@@ -14,6 +14,8 @@ from gwlocal.graphs import FixedGraph
 from gwlocal.localization import DegenerateWeights
 from gwlocal.targets import CITarget, WeightVector
 
+from reference_graphs import MarkedGraph
+
 
 class ReferenceEvaluator:
     """Evaluates tree contributions at one concrete weight vector.
@@ -74,12 +76,12 @@ class ReferenceEvaluator:
     def _geometry(self, graph: FixedGraph):
         # per vertex: edge valence, flag weights (lam_i - lam_j)/de, and the
         # sum of reciprocal flag weights
-        nv = len(graph.vertices)
+        nv = len(graph.labels)
         valence = [0] * nv
         flags = [[] for _ in range(nv)]
         for a, b, de in graph.edges:
-            la = self.lam[graph.vertices[a][0]]
-            lb = self.lam[graph.vertices[b][0]]
+            la = self.lam[graph.labels[a]]
+            lb = self.lam[graph.labels[b]]
             omega = Fraction(la - lb, de)
             flags[a].append(omega)
             flags[b].append(-omega)
@@ -93,11 +95,11 @@ class ReferenceEvaluator:
         value = Fraction(1)
         for a in self.target.degrees:
             for u, v, de in graph.edges:
-                value *= self._bundle_edge(a, graph.vertices[u][0], graph.vertices[v][0], de)
-            for v, (label, _marks) in enumerate(graph.vertices):
+                value *= self._bundle_edge(a, graph.labels[u], graph.labels[v], de)
+            for v, label in enumerate(graph.labels):
                 value *= (a * self.lam[label]) ** (1 - valence[v])
         # vertex blocks of the inverse normal euler class
-        for v, (label, _marks) in enumerate(graph.vertices):
+        for v, label in enumerate(graph.labels):
             lv = self.lam[label]
             tangent = Fraction(1)
             for k, lk in enumerate(self.lam):
@@ -113,7 +115,7 @@ class ReferenceEvaluator:
                 value /= omega
         # edge blocks
         for u, v, de in graph.edges:
-            value *= self._normal_edge(graph.vertices[u][0], graph.vertices[v][0], de)
+            value *= self._normal_edge(graph.labels[u], graph.labels[v], de)
         return value
 
     def _symmetry_divisor(self, graph):
@@ -122,13 +124,13 @@ class ReferenceEvaluator:
             divisor *= de
         return divisor
 
-    def marked_value(self, graph: FixedGraph) -> Fraction:
+    def marked_value(self, graph: MarkedGraph) -> Fraction:
         """Contribution of one tree carrying its marks explicitly."""
         insertions = self.target.insertions
         valence, flags, recip_sums = self._geometry(graph)
-        mark_counts = [len(marks) for _label, marks in graph.vertices]
+        mark_counts = [len(marks) for marks in graph.marks]
         value = self._core(graph, valence, flags, recip_sums, mark_counts)
-        for label, marks in graph.vertices:
+        for label, marks in zip(graph.labels, graph.marks):
             for mark in marks:
                 value *= self.lam[label] ** insertions[mark - 1]
         return value / self._symmetry_divisor(graph)
@@ -146,10 +148,10 @@ class ReferenceEvaluator:
         the mark count.
         """
         valence, flags, recip_sums = self._geometry(graph)
-        value = self._core(graph, valence, flags, recip_sums, [0] * len(graph.vertices))
+        value = self._core(graph, valence, flags, recip_sums, [0] * len(graph.labels))
         for power in self.target.insertions:
             vertex_sum = Fraction(0)
-            for v, (label, _marks) in enumerate(graph.vertices):
+            for v, label in enumerate(graph.labels):
                 vertex_sum += recip_sums[v] * self.lam[label] ** power
             value *= vertex_sum
         return value / self._symmetry_divisor(graph)

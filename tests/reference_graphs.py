@@ -5,17 +5,40 @@ representatives per degree-decorated shape: it builds every labelled
 decoration of every free tree, computes a canonical string key for each, keeps
 the first tree seen per key in a dictionary and yields the classes sorted by
 key.  It is slow and obviously correct, which is what a reference should be.
-It also enumerates marked classes, which the package does not, so it is the
-tests' oracle for the engine's analytic mark placement.  Tests compare its
-``(canonical_form, aut_order)`` multiset with the package's enumeration, and
-check any class with :func:`check`; nothing in the package imports it.
+It also enumerates marked classes, which the package does not, as
+:class:`MarkedGraph` records, so it is the tests' oracle for the engine's
+analytic mark placement.  Tests compare its ``(canonical_form, aut_order)``
+multiset with the package's enumeration, and check any class with
+:func:`check`; nothing in the package imports it.
 """
 
+from dataclasses import dataclass
 from itertools import product
 from math import factorial
 
 from gwlocal import graphs
-from gwlocal.graphs import FixedGraph
+
+
+@dataclass(frozen=True)
+class MarkedGraph:
+    """One isomorphism class of decorated trees with marks.
+
+    ``labels``, ``edges`` and ``aut_order`` are as in ``FixedGraph``, except
+    that the automorphisms also fix the marks; ``marks[v]`` is the sorted
+    tuple of the mark indices at vertex ``v``.
+    """
+
+    labels: tuple
+    edges: tuple
+    aut_order: int
+    marks: tuple
+
+
+def vertex_marks(graph) -> tuple:
+    """Per-vertex mark tuples of ``graph``; a ``FixedGraph`` carries none."""
+    if isinstance(graph, MarkedGraph):
+        return graph.marks
+    return ((),) * len(graph.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +207,30 @@ def _canonical_key_aut(labels, edges, marks):
     return (f"<{central_degree}>" + enc1 + enc2).encode("ascii"), aut
 
 
-def canonical_form(graph: FixedGraph) -> bytes:
-    """Canonical encoding of a decorated tree: two graphs are isomorphic iff
-    their encodings are equal.  Stable across runs and platforms."""
-    key, _aut = _canonical_key_aut(
-        graph.labels(), graph.edges, [marks for _label, marks in graph.vertices]
-    )
+def canonical_form(graph) -> bytes:
+    """Canonical encoding of a decorated tree, a ``FixedGraph`` or a
+    :class:`MarkedGraph`: two graphs are isomorphic iff their encodings are
+    equal.  Stable across runs and platforms."""
+    key, _aut = _canonical_key_aut(graph.labels, graph.edges, vertex_marks(graph))
     return key
 
 
-def adjacency(graph: FixedGraph):
+def adjacency(graph):
     """Per-vertex list of ``(neighbor, edge_degree)`` pairs."""
-    adj = [[] for _ in graph.vertices]
+    adj = [[] for _ in graph.labels]
     for a, b, degree in graph.edges:
         adj[a].append((b, degree))
         adj[b].append((a, degree))
     return adj
 
 
-def check(graph: FixedGraph, ambient_dim: int, curve_degree: int, num_marks: int) -> None:
-    """Raise ValueError unless every structural invariant of ``graph`` holds."""
-    nv = len(graph.vertices)
+def check(graph, ambient_dim: int, curve_degree: int, num_marks: int) -> None:
+    """Raise ValueError unless every structural invariant of ``graph``, a
+    ``FixedGraph`` or a :class:`MarkedGraph`, holds."""
+    labels, placed = graph.labels, vertex_marks(graph)
+    nv = len(labels)
+    if len(placed) != nv:
+        raise ValueError("need one mark tuple per vertex")
     if nv < 2:
         raise ValueError("a fixed graph needs at least two vertices")
     if len(graph.edges) != nv - 1:
@@ -219,28 +245,26 @@ def check(graph: FixedGraph, ambient_dim: int, curve_degree: int, num_marks: int
 
     for a, b, degree in graph.edges:
         if not (0 <= a < b < nv):
-            raise ValueError("edge endpoints must satisfy 0 <= a < b < num_vertices")
+            raise ValueError("edge endpoints must satisfy 0 <= a < b < vertex count")
         if degree < 1:
             raise ValueError("edge degrees must be positive")
-        if graph.vertices[a][0] == graph.vertices[b][0]:
+        if labels[a] == labels[b]:
             raise ValueError("adjacent vertices must carry distinct labels")
         ra, rb = find(a), find(b)
         if ra == rb:
             raise ValueError("edges form a cycle")
         parent[ra] = rb
-    for label, marks in graph.vertices:
-        if not 0 <= label <= ambient_dim:
+    for label, at in zip(labels, placed):
+        if not (isinstance(label, int) and 0 <= label <= ambient_dim):
             raise ValueError("vertex label out of range")
-        if tuple(sorted(marks)) != tuple(marks):
+        if tuple(sorted(at)) != tuple(at):
             raise ValueError("mark tuples must be sorted")
     if sum(degree for _a, _b, degree in graph.edges) != curve_degree:
         raise ValueError("edge degrees must sum to the curve degree")
-    all_marks = sorted(m for _label, marks in graph.vertices for m in marks)
+    all_marks = sorted(m for at in placed for m in at)
     if all_marks != list(range(1, num_marks + 1)):
         raise ValueError("marks must partition 1..k")
-    _key, aut = _canonical_key_aut(
-        graph.labels(), graph.edges, [marks for _label, marks in graph.vertices]
-    )
+    _key, aut = _canonical_key_aut(labels, graph.edges, placed)
     if aut != graph.aut_order:
         raise ValueError("stored automorphism order disagrees with recomputation")
 
@@ -283,7 +307,7 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
     degree-``d`` fixed loci in projective ``n``-space with ``k`` marks.
 
     Classes appear sorted by canonical encoding.  The cost grows like
-    ``num_vertices ** k`` in the mark count, so enumerate with ``k = 0`` and
+    ``vertex_count ** k`` in the mark count, so enumerate with ``k = 0`` and
     handle marks analytically when many marks are needed.
 
     EXAMPLES::
@@ -311,18 +335,18 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
                             marks[v].append(mark_index)
                         key, aut = _canonical_key_aut(labels, edges, marks)
                         if key not in reps:
-                            reps[key] = FixedGraph(
-                                vertices=tuple(
-                                    (labels[v], tuple(marks[v])) for v in range(nv)
-                                ),
+                            reps[key] = MarkedGraph(
+                                labels=labels,
                                 edges=edges,
                                 aut_order=aut,
+                                marks=tuple(map(tuple, marks)),
                             )
     for key in sorted(reps):
         yield reps[key]
 
 
 def classes(n: int, d: int, k: int):
-    """The classes with ``k`` marks: the package's when ``k`` is 0, this
-    module's otherwise, as the package enumerates no marked class."""
+    """The classes with ``k`` marks: the package's ``FixedGraph`` classes
+    when ``k`` is 0, this module's :class:`MarkedGraph` classes otherwise,
+    as the package enumerates no marked class."""
     return graphs.enumerate_graphs(n, d) if k == 0 else enumerate_graphs(n, d, k)

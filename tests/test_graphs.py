@@ -1,5 +1,6 @@
 """Decorated-tree enumeration, shapes, canonical forms, automorphism orders."""
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -9,23 +10,37 @@ from gwlocal import FixedGraph, enumerate_graphs
 from gwlocal.graphs import _preorder_edges, decorated_shapes
 
 from oracles import count_labeled_decorated_trees, orbit_sum
-from reference_graphs import adjacency, canonical_form, check, classes
+from reference_graphs import MarkedGraph, adjacency, canonical_form, check, classes
 
 
 def test_lines_in_p4():
     graphs = list(enumerate_graphs(4, 1))
     assert len(graphs) == 10
     assert all(g.aut_order == 1 for g in graphs)
-    assert all(g.num_vertices == 2 for g in graphs)
+    assert all(len(g.labels) == 2 for g in graphs)
     # one class per unordered label pair
-    assert len({frozenset(g.labels()) for g in graphs}) == 10
+    assert len({frozenset(g.labels) for g in graphs}) == 10
+
+
+def test_class_record_is_its_labels():
+    # a class holds one int label per vertex, in preorder, and nothing else
+    # per vertex; check covers the label range, distinct adjacent labels and
+    # the tree and automorphism structure
+    assert [f.name for f in dataclasses.fields(FixedGraph)] == ["labels", "edges", "aut_order"]
+    for n in range(1, 4):
+        for d in range(1, 5):
+            for g in enumerate_graphs(n, d):
+                assert type(g.labels) is tuple
+                assert all(type(label) is int for label in g.labels)
+                assert len(g.labels) == len(g.edges) + 1
+                check(g, n, d, 0)
 
 
 def test_conics_in_p4():
     graphs = list(enumerate_graphs(4, 2))
     assert len(graphs) == 60
-    singles = [g for g in graphs if g.num_vertices == 2]
-    paths = [g for g in graphs if g.num_vertices == 3]
+    singles = [g for g in graphs if len(g.labels) == 2]
+    paths = [g for g in graphs if len(g.labels) == 3]
     assert len(singles) == 10
     assert len(paths) == 50
     assert all(g.edges[0][2] == 2 for g in singles)
@@ -33,14 +48,14 @@ def test_conics_in_p4():
     symmetric = [g for g in paths if g.aut_order == 2]
     assert len(symmetric) == 20
     for g in paths:
-        ends = [label for v, (label, _m) in enumerate(g.vertices) if len(adjacency(g)[v]) == 1]
+        ends = [label for v, label in enumerate(g.labels) if len(adjacency(g)[v]) == 1]
         assert (g.aut_order == 2) == (ends[0] == ends[1])
 
 
 def test_single_line_target():
     graphs = list(enumerate_graphs(1, 1))
     assert len(graphs) == 1
-    assert sorted(graphs[0].labels()) == [0, 1]
+    assert sorted(graphs[0].labels) == [0, 1]
 
 
 def test_enumeration_is_deterministic():
@@ -110,42 +125,42 @@ def test_mark_placement_classes():
 
 
 def test_canonical_form_ignores_vertex_ordering():
-    a = FixedGraph(((0, ()), (1, ()), (2, ())), ((0, 1, 1), (1, 2, 1)), 1)
-    b = FixedGraph(((2, ()), (1, ()), (0, ())), ((0, 1, 1), (1, 2, 1)), 1)
+    a = FixedGraph((0, 1, 2), ((0, 1, 1), (1, 2, 1)), 1)
+    b = FixedGraph((2, 1, 0), ((0, 1, 1), (1, 2, 1)), 1)
     assert canonical_form(a) == canonical_form(b)
 
 
 def test_canonical_form_sees_reflection():
-    a = FixedGraph(((0, ()), (1, ()), (0, ())), ((0, 1, 1), (1, 2, 1)), 2)
-    b = FixedGraph(((1, ()), (0, ()), (0, ())), ((0, 1, 1), (0, 2, 1)), 2)
+    a = FixedGraph((0, 1, 0), ((0, 1, 1), (1, 2, 1)), 2)
+    b = FixedGraph((1, 0, 0), ((0, 1, 1), (0, 2, 1)), 2)
     assert canonical_form(a) == canonical_form(b)
 
 
 def test_canonical_form_separates_label_sets():
-    a = FixedGraph(((0, ()), (1, ())), ((0, 1, 1),), 1)
-    b = FixedGraph(((0, ()), (2, ())), ((0, 1, 1),), 1)
+    a = FixedGraph((0, 1), ((0, 1, 1),), 1)
+    b = FixedGraph((0, 2), ((0, 1, 1),), 1)
     assert canonical_form(a) != canonical_form(b)
 
 
 def test_canonical_form_separates_mark_placement():
-    a = FixedGraph(((0, (1,)), (1, ())), ((0, 1, 1),), 1)
-    b = FixedGraph(((0, ()), (1, (1,))), ((0, 1, 1),), 1)
+    a = MarkedGraph((0, 1), ((0, 1, 1),), 1, ((1,), ()))
+    b = MarkedGraph((0, 1), ((0, 1, 1),), 1, ((), (1,)))
     assert canonical_form(a) != canonical_form(b)
 
 
 def test_check_rejects_broken_graphs():
     with pytest.raises(ValueError):
-        check(FixedGraph(((0, ()), (0, ())), ((0, 1, 1),), 1), 4, 1, 0)
+        check(FixedGraph((0, 0), ((0, 1, 1),), 1), 4, 1, 0)
     with pytest.raises(ValueError):
-        check(FixedGraph(((0, ()), (1, ())), ((0, 1, 2),), 1), 4, 1, 0)
+        check(FixedGraph((0, 1), ((0, 1, 2),), 1), 4, 1, 0)
     with pytest.raises(ValueError):
-        check(FixedGraph(((0, ()), (1, ()), (2, ())), ((0, 1, 1),), 1), 4, 2, 0)
+        check(FixedGraph((0, 1, 2), ((0, 1, 1),), 1), 4, 2, 0)
     with pytest.raises(ValueError):
         # stored automorphism order is wrong: the path 0-1-0 has a flip
-        check(FixedGraph(((0, ()), (1, ()), (0, ())), ((0, 1, 1), (1, 2, 1)), 1), 4, 2, 0)
+        check(FixedGraph((0, 1, 0), ((0, 1, 1), (1, 2, 1)), 1), 4, 2, 0)
     with pytest.raises(ValueError):
         # marks must be exactly 1..k
-        check(FixedGraph(((0, (2,)), (1, ())), ((0, 1, 1),), 1), 4, 1, 1)
+        check(MarkedGraph((0, 1), ((0, 1, 1),), 1, ((2,), ())), 4, 1, 1)
 
 
 def _vertex_count(shape):
@@ -224,7 +239,7 @@ def test_shape_symmetries_match_listed_automorphisms(d, count):
     forms = set()
     for i, shape in enumerate(shapes):
         edges = _preorder_edges(shape)
-        forms.add(canonical_form(FixedGraph(((0, ()),) * (len(edges) + 1), edges, 1)))
+        forms.add(canonical_form(FixedGraph((0,) * (len(edges) + 1), edges, 1)))
         automorphisms = list(_automorphisms(edges))
         for n, yielded in by_n.items():
             assert yielded[i][:2] == (shape, len(automorphisms))
@@ -249,7 +264,7 @@ def test_degree_nine_shapes_counted_without_listing_automorphisms():
 def test_star_with_four_equal_leaves_has_full_symmetric_group():
     # in P1 a star's four leaves all carry the label its center lacks
     stars = [g for g in enumerate_graphs(1, 4) if max(map(len, adjacency(g))) == 4]
-    assert sorted(sorted(g.labels()) for g in stars) == [[0, 0, 0, 0, 1], [0, 1, 1, 1, 1]]
+    assert sorted(sorted(g.labels) for g in stars) == [[0, 0, 0, 0, 1], [0, 1, 1, 1, 1]]
     for g in stars:
         assert g.aut_order == 24
         check(g, 1, 4, 0)
@@ -267,7 +282,7 @@ def test_alternating_paths_swapped_by_the_central_flip():
     # about the central edge carries one to the other and fixes neither
     paths = [
         g for g in enumerate_graphs(1, 3)
-        if g.num_vertices == 4 and max(map(len, adjacency(g))) == 2
+        if len(g.labels) == 4 and max(map(len, adjacency(g))) == 2
     ]
     assert len(paths) == 1
     assert paths[0].aut_order == 1
@@ -279,7 +294,7 @@ def test_marks_on_both_leaves_break_the_conic_flip():
     # two leaves leave only the identity
     conics = [
         g for g in classes(1, 2, 2)
-        if sorted(g.vertices) == [(0, ()), (1, (1,)), (1, (2,))]
+        if sorted(zip(g.labels, g.marks)) == [(0, ()), (1, (1,)), (1, (2,))]
     ]
     assert len(conics) == 1
     assert conics[0].aut_order == 1

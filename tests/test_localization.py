@@ -114,10 +114,10 @@ class TestSmallTargets:
     def test_single_edge_contribution_symmetric_in_endpoints(self):
         w = sample_weights(9, 4)
         target = CITarget(4, (5,), 1)
-        a = FixedGraph(((0, ()), (3, ())), ((0, 1, 1),), 1)
-        b = FixedGraph(((3, ()), (0, ())), ((0, 1, 1),), 1)
+        a = FixedGraph((0, 3), ((0, 1, 1),), 1)
+        b = FixedGraph((3, 0), ((0, 1, 1),), 1)
         evaluator = _Evaluator(w, target)
-        assert evaluator.summed_value(a) == evaluator.summed_value(b)
+        assert evaluator.classes_total((a,)) == evaluator.classes_total((b,))
 
 
 class TestMarkedVersusFactored:
@@ -166,10 +166,10 @@ class TestDegeneracy:
     def test_meeting_a_third_fixed_point_raises(self):
         # degree-2 edge between labels 0 and 2 at weights (1,2,3):
         # the c=1 factor is 1 + 3 - 2*2 = 0
-        graph = FixedGraph(((0, ()), (2, ())), ((0, 1, 2),), 1)
+        graph = FixedGraph((0, 2), ((0, 1, 2),), 1)
         w = WeightVector((1, 2, 3))
         with pytest.raises(DegenerateWeights):
-            _Evaluator(w, CITarget(2, (), 2)).summed_value(graph)
+            _Evaluator(w, CITarget(2, (), 2)).classes_total((graph,))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_retries_within_seed_lineage(self, monkeypatch, jobs):

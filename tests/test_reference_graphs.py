@@ -57,10 +57,10 @@ def assert_same_classes(n, d, k):
     # of the k marks on G's vertices up to G's automorphisms
     placements = defaultdict(Fraction)
     for g in reference_graphs.enumerate_graphs(n, d, k):
-        unmarked = FixedGraph(tuple((label, ()) for label in g.labels()), g.edges, 1)
+        unmarked = FixedGraph(g.labels, g.edges, 1)
         placements[canonical_form(unmarked)] += Fraction(1, g.aut_order)
     assert placements == {
-        canonical_form(g): Fraction(g.num_vertices**k, g.aut_order) for g in graphs
+        canonical_form(g): Fraction(len(g.labels) ** k, g.aut_order) for g in graphs
     }
 
 
