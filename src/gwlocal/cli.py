@@ -6,8 +6,11 @@ quintic reference table), ``bps`` (instanton-number inversions), ``dims``
 accepts ``--format {text,json,csv}``, ``--jobs``, ``--cache-dir``, ``--seed``
 and ``--quiet``.
 
-Exit codes: 0 success, 1 bad flags or missing input, 2 dimension mismatch,
-3 engine failure (weight-independence violation or resampling exhaustion).
+Exit codes: 0 success; 1 bad flags, or an ``InputError`` or ``OSError``
+from a command; 2 dimension mismatch; 3 engine failure (weight-independence
+violation or resampling exhaustion).  :func:`main` is the one place that
+maps exceptions to exit codes and prints them; any other exception is a bug
+and propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import json
 import sys
 from dataclasses import astuple, fields
 from fractions import Fraction
-from pathlib import Path
 
 from .cache import ResultCache, cache_key, resolve_cache_dir
 from .localization import (
@@ -33,11 +35,11 @@ from .relations import (
     bps0_from_gw0,
     bps1_from_gw1,
     load_table1,
-    parse_degree_table,
+    read_degree_table,
     reproduce_table1,
     wdvv_p2,
 )
-from .targets import CITarget, DimensionQuery, expected_dimension
+from .targets import CITarget, DimensionQuery, InputError, expected_dimension
 
 __all__ = ["main", "build_parser", "EXIT_OK", "EXIT_USAGE", "EXIT_DIMENSION", "EXIT_ENGINE"]
 
@@ -72,7 +74,7 @@ def _add_common(parser):
         "--jobs", type=_positive_int, default=1, help="worker processes for graph sums"
     )
     parser.add_argument("--cache-dir", default=None, help="override the result cache directory")
-    parser.add_argument("--seed", type=int, default=None, help="base seed; uses seed, seed+1, seed+2")
+    parser.add_argument("--seed", type=int, default=1, help="base seed; uses seed, seed+1, seed+2")
     parser.add_argument("--quiet", action="store_true", help="suppress informational notes")
 
 
@@ -123,15 +125,12 @@ def _note(args, message):
         print(message, file=sys.stderr)
 
 
-def _fail(args, message) -> int:
-    print(f"gwlocal {args.command}: error: {message}", file=sys.stderr)
-    return EXIT_USAGE
-
-
-def _seeds(args):
-    if args.seed is None:
-        return (1, 2, 3)
-    return (args.seed, args.seed + 1, args.seed + 2)
+def _int_list(text):
+    # int()'s own ValueError is the caller's typo here, not a bug
+    try:
+        return tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _genus0_query(target: CITarget) -> dict:
@@ -153,7 +152,8 @@ def _cached_engine_value(cache, target, args):
     if record is not None:
         _note(args, f"cache hit {key[:12]}")
         return record.value, record.graph_count, tuple(record.seeds)
-    result = sum_invariant(target, seeds=_seeds(args), jobs=args.jobs)
+    seeds = (args.seed, args.seed + 1, args.seed + 2)
+    result = sum_invariant(target, seeds=seeds, jobs=args.jobs)
     cache.put(
         ResultCache.make_record(
             query, result.value, result.weight_seeds, result.graph_count, ENGINE_VERSION
@@ -221,12 +221,8 @@ def _emit(args, header, rows, doc, text=None) -> int:
 
 
 def cmd_genus0(args) -> int:
-    try:
-        degrees = tuple(int(x) for x in args.degrees.split(",") if x.strip())
-        insertions = tuple(int(x) for x in args.insertions.split(",") if x.strip())
-        target = CITarget(args.ambient_dim, degrees, args.curve_degree, insertions)
-    except ValueError as exc:
-        return _fail(args, exc)
+    degrees, insertions = _int_list(args.degrees), _int_list(args.insertions)
+    target = CITarget(args.ambient_dim, degrees, args.curve_degree, insertions)
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
     value, graph_count, seeds = _cached_engine_value(cache, target, args)
     header = ("value", "graph_count", "seeds", "engine_version")
@@ -238,7 +234,7 @@ def cmd_genus0(args) -> int:
 def cmd_table1(args) -> int:
     table = load_table1()
     if not 1 <= args.max_degree <= table.max_degree:
-        return _fail(args, f"--max-degree must be 1..{table.max_degree}")
+        raise InputError(f"--max-degree must be 1..{table.max_degree}")
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
 
     def engine(d):
@@ -252,45 +248,37 @@ def cmd_table1(args) -> int:
     return _emit(args, header, rows, {"rows": _ROWS, "engine_version": ENGINE_VERSION})
 
 
-def _read_table(path, max_degree) -> dict:
-    text = Path(path).read_text(encoding="ascii")
-    return parse_degree_table(text, path, max_degree=max_degree)[0]
-
-
 def _gw0_table(args, path, unavailable) -> dict:
     """Genus-zero quintic invariants for degrees 1..--max-degree, from the
-    table file ``path`` or else from the cache; ValueError(unavailable) when
+    table file ``path`` or else from the cache; InputError(unavailable) when
     the cache lacks a degree."""
     if path is not None:
-        return _read_table(path, args.max_degree)
+        return read_degree_table(path, max_degree=args.max_degree)[0]
     cache = ResultCache(resolve_cache_dir(args.cache_dir))
     table = {}
     for d in range(1, args.max_degree + 1):
         record = cache.get(cache_key(_genus0_query(CITarget(4, (5,), d)), ENGINE_VERSION))
         if record is None:
-            raise ValueError(unavailable)
+            raise InputError(unavailable)
         table[d] = record.value
     _note(args, f"genus-zero table assembled from cache for degrees 1..{args.max_degree}")
     return table
 
 
 def cmd_bps(args) -> int:
-    try:
-        if args.genus not in (0, 1):
-            raise ValueError("--genus must be 0 or 1")
-        if args.max_degree < 1:
-            raise ValueError("--max-degree must be at least 1")
-        if args.genus == 0:
-            hint = "no --input and no cached genus-zero quintic values; run genus0 or table1 first"
-            result = bps0_from_gw0(_gw0_table(args, args.input, hint))
-        else:
-            if args.input is None:
-                raise ValueError("--genus 1 requires --input")
-            gw1 = _read_table(args.input, args.max_degree)
-            hint = "--genus 1 needs --gw0-input or cached genus-zero quintic values"
-            result = bps1_from_gw1(gw1, bps0_from_gw0(_gw0_table(args, args.gw0_input, hint)))
-    except (OSError, ValueError) as exc:
-        return _fail(args, exc)
+    if args.genus not in (0, 1):
+        raise InputError("--genus must be 0 or 1")
+    if args.max_degree < 1:
+        raise InputError("--max-degree must be at least 1")
+    if args.genus == 0:
+        hint = "no --input and no cached genus-zero quintic values; run genus0 or table1 first"
+        result = bps0_from_gw0(_gw0_table(args, args.input, hint))
+    else:
+        if args.input is None:
+            raise InputError("--genus 1 requires --input")
+        gw1 = read_degree_table(args.input, max_degree=args.max_degree)[0]
+        hint = "--genus 1 needs --gw0-input or cached genus-zero quintic values"
+        result = bps1_from_gw1(gw1, bps0_from_gw0(_gw0_table(args, args.gw0_input, hint)))
     rows = list(result.items())
     return _emit(args, ("degree", "value"), rows, {"genus": result.genus, "rows": _ROWS})
 
@@ -326,8 +314,8 @@ def main(argv=None) -> int:
     except (WeightIndependenceFailure, ResamplingExhausted) as exc:
         print(f"gwlocal: engine failure: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    except (ValueError, OSError) as exc:
-        print(f"gwlocal: error: {exc}", file=sys.stderr)
+    except (InputError, OSError) as exc:
+        print(f"gwlocal {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -28,6 +28,8 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, groupby
 from math import comb, factorial
 
+from .targets import InputError
+
 __all__ = ["FixedGraph", "enumerate_graphs", "decorated_shapes"]
 
 
@@ -128,7 +130,7 @@ def decorated_shapes(n: int, d: int):
         [(((1, ()), (1, ())), 2), (((2, ()),), 2)]
     """
     if n < 1 or d < 1:
-        raise ValueError("need n >= 1, d >= 1")
+        raise InputError("need n >= 1, d >= 1")
 
     @cache
     def symmetries(shape):
@@ -197,9 +199,9 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
         60
     """
     if n < 1 or d < 1:
-        raise ValueError("need n >= 1, d >= 1")
+        raise InputError("need n >= 1, d >= 1")
     if k != 0:
-        raise ValueError("marked classes are not enumerated: need k = 0")
+        raise InputError("marked classes are not enumerated: need k = 0")
 
     @cache
     def classes(shape, root):

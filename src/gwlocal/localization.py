@@ -51,6 +51,7 @@ from .graphs import decorated_shapes, enumerate_graphs
 from .targets import (
     CITarget,
     DimensionQuery,
+    InputError,
     WeightVector,
     expected_dimension,
     positivity_check,
@@ -95,7 +96,7 @@ class ResamplingExhausted(RuntimeError):
     sum could not be evaluated for that seed."""
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(InputError):
     """The insertions do not cut the moduli problem to dimension zero, so no
     weight-independent number exists."""
 
@@ -158,7 +159,7 @@ class _Evaluator:
 
     def __init__(self, weights: WeightVector, target: CITarget):
         if weights.ambient_dim != target.ambient_dim:
-            raise ValueError("weight vector length does not match the ambient dimension")
+            raise InputError("weight vector length does not match the ambient dimension")
         lam = weights.weights
         scale = lcm(*(w.denominator for w in lam))
         self.p = tuple(w.numerator * (scale // w.denominator) for w in lam)
@@ -428,7 +429,7 @@ def lines_closed_form(n: int, degrees, weights: WeightVector) -> Fraction:
     the tree sum, so it serves as an independent oracle for it.
     """
     if weights.ambient_dim != n:
-        raise ValueError("weight vector length does not match the ambient dimension")
+        raise InputError("weight vector length does not match the ambient dimension")
     lam = weights.weights
     total = Fraction(0)
     for i in range(n + 1):
@@ -561,22 +562,23 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     of its own when ``jobs > 1``.  Exact addition commutes, so the result
     is identical for any worker count.
 
-    Raises ``ValueError`` if ``jobs`` is not an integer of at least 1 or a
-    seed is not an integer, :class:`DimensionMismatch` if the insertions do
-    not cut the problem to dimension zero, :class:`ResamplingExhausted` if
-    every weight vector a seed offers degenerates (naming the first such
-    seed), and :class:`WeightIndependenceFailure` if the per-seed totals
-    disagree.
+    Raises :class:`~gwlocal.targets.InputError` if ``jobs`` is not an
+    integer of at least 1, a seed is not an integer, fewer than two distinct
+    seeds are given or a hypersurface factor is not positive;
+    :class:`DimensionMismatch` if the insertions do not cut the problem to
+    dimension zero, :class:`ResamplingExhausted` if every weight vector a
+    seed offers degenerates (naming the first such seed), and
+    :class:`WeightIndependenceFailure` if the per-seed totals disagree.
     """
     if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+        raise InputError(f"jobs must be a positive integer, got {jobs!r}")
     seeds = tuple(seeds)
     if not all(isinstance(s, int) for s in seeds):
-        raise ValueError(f"seeds must be integers, got {seeds!r}")
+        raise InputError(f"seeds must be integers, got {seeds!r}")
     if len(seeds) < 2 or len(set(seeds)) != len(seeds):
-        raise ValueError("need at least two distinct seeds")
+        raise InputError("need at least two distinct seeds")
     if not positivity_check(target):
-        raise ValueError("target has a non-positive hypersurface factor")
+        raise InputError("target has a non-positive hypersurface factor")
     supplied = sum(target.insertions)
     needed = required_insertion_total(target)
     if supplied != needed:

@@ -16,6 +16,8 @@ from importlib import resources
 from math import comb
 from pathlib import Path
 
+from .targets import InputError
+
 __all__ = [
     "UnsupportedDimension",
     "BPSTable",
@@ -31,10 +33,11 @@ __all__ = [
     "wdvv_p2",
     "load_table1",
     "parse_degree_table",
+    "read_degree_table",
 ]
 
 
-class UnsupportedDimension(ValueError):
+class UnsupportedDimension(InputError):
     """The genus-one difference formula is only available in real dimensions
     4 and 6."""
 
@@ -51,12 +54,12 @@ def _as_table(values, max_degree=None) -> dict:
     table = {}
     for d, v in dict(values).items():
         if not isinstance(d, int) or isinstance(v, float):
-            raise ValueError(f"need integer degrees and exact values, got {d!r}: {v!r}")
+            raise InputError(f"need integer degrees and exact values, got {d!r}: {v!r}")
         table[d] = Fraction(v)
     top = max_degree if max_degree is not None else (max(table) if table else 0)
     for d in range(1, top + 1):
         if d not in table:
-            raise ValueError(f"table is missing degree {d}")
+            raise InputError(f"table is missing degree {d}")
     return {d: table[d] for d in range(1, top + 1)}
 
 
@@ -71,7 +74,7 @@ class BPSTable:
 
     def __post_init__(self):
         if self.genus not in (0, 1):
-            raise ValueError("genus must be 0 or 1")
+            raise InputError("genus must be 0 or 1")
         object.__setattr__(self, "entries", _as_table(self.entries))
 
     @property
@@ -134,7 +137,7 @@ def bps1_from_gw1(gw1, bps0: BPSTable) -> BPSTable:
     """
     table = _as_table(gw1)
     if bps0.max_degree < len(table):
-        raise ValueError("genus-zero counts must cover every requested degree")
+        raise InputError("genus-zero counts must cover every requested degree")
     bps = {}
     for d in sorted(table):
         bps[d] = table[d] - _cover_sum(bps0, d, 1) / 12 - _cover_sum(bps, d, 1, start=2)
@@ -168,7 +171,7 @@ def wdvv_p2(max_degree: int) -> dict:
         {1: 1, 2: 1, 3: 12}
     """
     if max_degree < 1:
-        raise ValueError("max degree must be at least 1")
+        raise InputError("max degree must be at least 1")
     counts = {1: Fraction(1)}
     for d in range(2, max_degree + 1):
         total = Fraction(0)
@@ -229,7 +232,8 @@ def parse_degree_table(text, name, columns=1, max_degree=None) -> list:
     Every row has ``columns`` values and each degree appears once; the
     degrees must cover ``1..max_degree`` (default: the largest present), and
     rows above it are dropped.  Returns one ``degree -> Fraction`` dict per
-    value column.  Errors are ValueErrors naming ``name`` and the bad line.
+    value column.  Every error is an :class:`InputError` naming ``name`` and
+    the bad line.
     """
     rows = {}
     for number, line in enumerate(text.splitlines(), 1):
@@ -238,19 +242,29 @@ def parse_degree_table(text, name, columns=1, max_degree=None) -> list:
             continue
         try:
             if len(fields) != columns + 1:
-                raise ValueError(f"expected {columns + 1} fields")
+                raise InputError(f"expected {columns + 1} fields")
             degree = int(fields[0])
             if degree < 1:
-                raise ValueError("degree must be at least 1")
+                raise InputError("degree must be at least 1")
             if degree in rows:
-                raise ValueError(f"degree {degree} appears twice")
+                raise InputError(f"degree {degree} appears twice")
             rows[degree] = [Fraction(field) for field in fields[1:]]
         except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"{name}:{number}: {exc}") from None
+            raise InputError(f"{name}:{number}: {exc}") from None
     try:
         return [_as_table({d: row[i] for d, row in rows.items()}, max_degree) for i in range(columns)]
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{name}: {exc}") from None
+
+
+def read_degree_table(path, columns=1, max_degree=None) -> list:
+    """:func:`parse_degree_table` of the ASCII text file ``path``; a file that
+    is not ASCII raises :class:`InputError` naming it."""
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return parse_degree_table(text, path, columns, max_degree)
 
 
 def load_table1(path=None) -> ReferenceTable:
@@ -259,11 +273,10 @@ def load_table1(path=None) -> ReferenceTable:
     (the bundled file uses tabs), fractions written ``num/den``, each degree
     once and degrees contiguous from 1."""
     if path is not None:
-        text = Path(path).read_text(encoding="ascii")
+        reduced, gw1, bps1 = read_degree_table(path, columns=3)
     else:
-        path = _TABLE1_RESOURCE
-        text = resources.files("gwlocal").joinpath(path).read_text(encoding="ascii")
-    reduced, gw1, bps1 = parse_degree_table(text, path, columns=3)
+        text = resources.files("gwlocal").joinpath(_TABLE1_RESOURCE).read_text(encoding="ascii")
+        reduced, gw1, bps1 = parse_degree_table(text, _TABLE1_RESOURCE, columns=3)
     return ReferenceTable(reduced_terms=reduced, genus1_gw=gw1, genus1_bps=bps1)
 
 
@@ -276,7 +289,7 @@ def reproduce_table1(max_degree, reduced_terms, genus1_gw, genus1_bps, engine) -
     (with genus-zero instanton numbers derived from the engine) returns the
     published genus-one instanton number.  For an inconsistent row the unique
     corrected genus-one invariant satisfying both routes is reported; the two
-    routes must agree or a ValueError is raised.
+    routes must agree or an :class:`InputError` is raised.
     """
     if max_degree < 1:
         return []
@@ -295,7 +308,7 @@ def reproduce_table1(max_degree, reduced_terms, genus1_gw, genus1_bps, engine) -
         corrected = None
         if not consistent:
             if via_reduced != forward_gw1[d]:
-                raise ValueError(
+                raise InputError(
                     f"degree {d}: the reduced-term route and the instanton route "
                     "disagree, so no unique correction exists"
                 )

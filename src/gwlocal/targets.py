@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
+    "InputError",
     "CITarget",
     "WeightVector",
     "DimensionQuery",
@@ -21,6 +22,12 @@ __all__ = [
     "positivity_check",
     "expected_dimension",
 ]
+
+
+class InputError(ValueError):
+    """Caller-supplied input was rejected: a malformed target, table or flag.
+    The command-line interface reports exactly these, and ``OSError``, as
+    usage errors; any other exception is a bug."""
 
 
 @dataclass(frozen=True)
@@ -46,20 +53,20 @@ class CITarget:
         object.__setattr__(self, "insertions", tuple(self.insertions))
         for power in self.insertions:
             if not isinstance(power, int) or power < 0:
-                raise ValueError(f"insertion power must be a nonnegative integer, got {power!r}")
+                raise InputError(f"insertion power must be a nonnegative integer, got {power!r}")
         n = self.ambient_dim
         if not isinstance(n, int) or n < 1:
-            raise ValueError("ambient dimension must be a positive integer")
+            raise InputError("ambient dimension must be a positive integer")
         if not isinstance(self.curve_degree, int) or self.curve_degree < 1:
-            raise ValueError("curve degree must be a positive integer")
+            raise InputError("curve degree must be a positive integer")
         if not all(isinstance(a, int) for a in self.degrees):
-            raise ValueError("hypersurface degrees must be integers")
+            raise InputError("hypersurface degrees must be integers")
         if any(a < 0 for a in self.degrees):
-            raise ValueError("hypersurface degrees must be nonnegative")
+            raise InputError("hypersurface degrees must be nonnegative")
         if len(self.degrees) >= n:
-            raise ValueError("need fewer hypersurface factors than the ambient dimension")
+            raise InputError("need fewer hypersurface factors than the ambient dimension")
         if any(power > n for power in self.insertions):
-            raise ValueError("insertion power exceeds the ambient dimension")
+            raise InputError("insertion power exceeds the ambient dimension")
 
 
 @dataclass(frozen=True)
@@ -73,11 +80,11 @@ class WeightVector:
         ws = tuple(Fraction(w) for w in self.weights)
         object.__setattr__(self, "weights", ws)
         if len(ws) < 2:
-            raise ValueError("need at least two weights")
+            raise InputError("need at least two weights")
         if any(w <= 0 for w in ws):
-            raise ValueError("weights must be strictly positive")
+            raise InputError("weights must be strictly positive")
         if len(set(ws)) != len(ws):
-            raise ValueError("weights must be pairwise distinct")
+            raise InputError("weights must be pairwise distinct")
 
     @property
     def ambient_dim(self) -> int:
@@ -105,13 +112,13 @@ class DimensionQuery:
         if self.bundle_c1_dot_A is not None:
             fields.append(self.bundle_c1_dot_A)
         if not all(isinstance(value, int) for value in fields):
-            raise ValueError("dimension query fields must be integers")
+            raise InputError("dimension query fields must be integers")
         if self.genus not in (0, 1):
-            raise ValueError("genus must be 0 or 1")
+            raise InputError("genus must be 0 or 1")
         if self.marks < 0:
-            raise ValueError("mark count must be nonnegative")
+            raise InputError("mark count must be nonnegative")
         if self.half_dim < 0:
-            raise ValueError("target dimension must be nonnegative")
+            raise InputError("target dimension must be nonnegative")
 
 
 def is_calabi_yau(target: CITarget) -> bool:

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import gwlocal
-from gwlocal import WeightVector, localization
+from gwlocal import DimensionMismatch, WeightVector, localization
 from gwlocal.cache import cache_key
 from gwlocal.cli import main
 from gwlocal.localization import ENGINE_VERSION
+from gwlocal.relations import UnsupportedDimension
+from gwlocal.targets import InputError
 
 
 def run(capsys, *argv):
@@ -358,6 +360,18 @@ class TestBps:
             assert out == ""
             assert err.startswith(f"gwlocal bps: error: {message}"), err
 
+    def test_non_ascii_table_names_the_file(self, capsys, cache_dir, tmp_path):
+        table = tmp_path / "gw0.txt"
+        table.write_bytes(b"1 28\xc375\n")
+        code, out, err = run(
+            capsys,
+            "bps", "--genus", "0", "--max-degree", "1", "--input", str(table),
+            "--cache-dir", cache_dir,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"gwlocal bps: error: {table}: "), err
+
 
 class TestDims:
     def test_calabi_yau_threefold(self, capsys):
@@ -419,6 +433,26 @@ class TestWdvv:
             for row in rows
         }
         assert values == {1: 1, 2: 1, 3: 12, 4: 620, 5: 87304}
+
+
+class TestErrorBoundary:
+    def test_input_error_hierarchy(self):
+        assert issubclass(InputError, ValueError)
+        assert issubclass(DimensionMismatch, InputError)
+        assert issubclass(UnsupportedDimension, InputError)
+
+    def test_engine_bug_is_not_a_user_error(self, cache_dir, monkeypatch):
+        # a bare ValueError from inside the engine is a bug: main must let it
+        # propagate as a traceback, not report it as rejected input
+        def broken(*args, **kwargs):
+            raise ValueError("not enough values to unpack")
+
+        monkeypatch.setattr(localization._Evaluator, "shapes_total", broken)
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            main([
+                "genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "2",
+                "--cache-dir", cache_dir,
+            ])
 
 
 def test_module_entry_point(tmp_path):

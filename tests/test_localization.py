@@ -22,6 +22,7 @@ from gwlocal.localization import (
     required_insertion_total,
     stable_map_dim,
 )
+from gwlocal.targets import InputError
 
 import reference_graphs
 from reference_evaluator import ReferenceEvaluator, permuted, scaled
@@ -286,7 +287,7 @@ class TestInputPolicing:
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("jobs", [2.5, 0, -2, 1.0])
     def test_jobs_must_be_a_positive_integer(self, d, jobs):
-        with pytest.raises(ValueError, match="jobs must be a positive integer"):
+        with pytest.raises(InputError, match="jobs must be a positive integer"):
             sum_invariant(CITarget(4, (5,), d), jobs=jobs)
 
     def test_positivity_enforced(self):

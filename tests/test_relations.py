@@ -19,7 +19,8 @@ from gwlocal import (
     reproduce_table1,
     wdvv_p2,
 )
-from gwlocal.relations import UnsupportedDimension, gw_difference
+from gwlocal.relations import UnsupportedDimension, gw_difference, parse_degree_table
+from gwlocal.targets import InputError
 
 from oracles import forward_gw0, forward_gw1
 
@@ -158,7 +159,7 @@ class TestWDVV:
         assert table[5] == 87304
 
     def test_rejects_nonpositive_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="max degree must be at least 1"):
             wdvv_p2(0)
 
 
@@ -195,6 +196,8 @@ class TestReferenceTable:
             path.write_text(text, encoding="ascii")
             with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}"):
                 load_table1(path)
+        with pytest.raises(InputError, match="^t:1: expected 2 fields$"):
+            parse_degree_table("1\n", "t")
 
 
 class TestAudit:

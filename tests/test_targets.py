@@ -14,7 +14,7 @@ from gwlocal import (
     is_positive_system,
     positivity_check,
 )
-from gwlocal.targets import is_calabi_yau
+from gwlocal.targets import InputError, is_calabi_yau
 
 from reference_evaluator import permuted, scaled
 
@@ -72,7 +72,7 @@ class TestCITarget:
             CITarget(2, (2, 2), 1)
 
     def test_bad_ambient_dim_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="ambient dimension"):
             CITarget(0, (), 1)
 
     def test_bad_curve_degree_rejected(self):
@@ -184,7 +184,7 @@ class TestExpectedDimension:
         assert expected_dimension(q) == 0
 
     def test_genus_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="genus must be 0 or 1"):
             DimensionQuery(2, 0, 0, 3)
 
     @pytest.mark.parametrize(
