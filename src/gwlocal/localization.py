@@ -35,8 +35,9 @@ the tangent product ``T_i``, so the reciprocal flag sum at the vertex is a
 small integer over ``T_i``, and its vertex factor is that integer's power
 times ``T_i^2 / B_i^(val-1)``, ``B_i`` the hypersurface base.  In the class
 sum each mark's vertex sum is an integer over ``L = lcm(T_0, ..., T_n)``;
-the marks' common denominator ``L^k`` is the same for every class, so it
-is divided out once per slice of classes rather than once per class.
+the marks' common denominator ``L^k`` is the same for every class, so the
+class sum adds a slice's integer terms over the running lcm of their
+denominators and makes one ``Fraction`` per slice, divided by ``L^k``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from .graphs import decorated_shapes, enumerate_graphs
 from .targets import (
@@ -139,13 +140,15 @@ class _Evaluator:
     the weights, so it takes the same value at ``lam`` and at the integer
     vector ``p = L * lam``, with ``L`` the lcm of the weight denominators (1
     for sampled weights).  The denominators are cleared once, here; every
-    factor is an integer numerator and denominator at ``p``, and each tree
-    becomes one ``Fraction`` at the end, reduced once instead of once per
-    multiply.  For an unbalanced target the value is the term at ``p``.
+    factor is an integer numerator and denominator at ``p``, and the class
+    sum makes each slice of trees one ``Fraction`` at the end, reduced once
+    instead of once per multiply or per tree.  For an unbalanced target the
+    value is the term at ``p``.
 
-    Edge factors recur across trees, so each one, whole, is memoized once per
-    (pair, degree) as an integer numerator and denominator.  Everything else
-    both sums need per label is one family of integer tables, computed once:
+    Edge factors recur across trees, so each one, whole, is memoized as an
+    integer numerator and denominator, with the edge's two integer flags,
+    under both orders of its (label, label, degree).  Everything else both
+    sums need per label is one family of integer tables, computed once:
     the cofactors ``T_i / (p_i - p_j)``, with ``T_i`` the tangent product,
     that put every reciprocal flag sum over ``T_i``, the fixed parts
     ``T_i^2`` and ``B_i^(val-1)`` of the vertex factors, and each insertion
@@ -193,22 +196,24 @@ class _Evaluator:
             for w in sorted(set(powers))
         )
         self._mark_denominator = common ** len(powers)
-        self._edge_memo = {}
+        self._edges = {}
         self._branch_tables = {}
 
     def _edge(self, i, j, de):
-        # the factor of an edge of degree de between labels i and j, as
-        # (num, den): -de / (p_i - p_j)^2, the division by both flag weights
+        # (flag_i, flag_j, num, den) for an edge of degree de from label i to
+        # label j: the integers de * cof[i][j] and de * cof[j][i], its ends'
+        # reciprocal flag weights over T_i and T_j, and the edge factor
+        # num / den: -de / (p_i - p_j)^2, the division by both flag weights
         # with one de of the symmetry divisor, times prod_a bundle * normal,
         # the hypersurface-section weights
         #   bundle = prod_{c=0..a*de} (c*p_i + (a*de - c)*p_j) / de
         # and the edge block of the inverse normal-bundle euler class
         #   normal = (-1)^de * de^(2de) / ((de!)^2 (p_i - p_j)^(2de))
         #     * prod_{k != i,j} prod_{c=0..de} de / (c*p_i + (de-c)*p_j - de*p_k)
-        if i > j:
-            i, j = j, i
+        # The factor is symmetric in i and j, so it is computed once per
+        # unordered pair and memoized under both orders, the flags swapped
         key = (i, j, de)
-        value = self._edge_memo.get(key)
+        value = self._edges.get(key)
         if value is None:
             pi, pj = self.p[i], self.p[j]
             factors = (len(self.p) - 2) * (de + 1)
@@ -229,8 +234,9 @@ class _Evaluator:
                             f"edge ({i},{j}) of degree {de} met fixed point {k}"
                         )
                     den *= denominator
-            value = (num, den)
-            self._edge_memo[key] = value
+            flag_i, flag_j = de * self._cofactor[i][j], de * self._cofactor[j][i]
+            value = self._edges[key] = (flag_i, flag_j, num, den)
+            self._edges[j, i, de] = (flag_j, flag_i, num, den)
         return value
 
     def _class_term(self, graph):
@@ -242,19 +248,16 @@ class _Evaluator:
         nv = len(labels)
         valence = [0] * nv
         flag = [0] * nv
-        cofactor = self._cofactor
-        edge = self._edge
+        edges = self._edges
         num = 1
         den = graph.aut_order
         for u, v, de in graph.edges:
-            i, j = labels[u], labels[v]
+            key = (labels[u], labels[v], de)
+            flag_u, flag_v, edge_num, edge_den = edges.get(key) or self._edge(*key)
             valence[u] += 1
             valence[v] += 1
-            # flag weights are (p_i - p_j) / de at u and its negative at v,
-            # with reciprocals de * cof[i][j] / T_i and de * cof[j][i] / T_j
-            flag[u] += de * cofactor[i][j]
-            flag[v] += de * cofactor[j][i]
-            edge_num, edge_den = edge(i, j, de)
+            flag[u] += flag_u
+            flag[v] += flag_v
             num *= edge_num
             den *= edge_den
         vertex_parts = self._vertex_parts
@@ -289,12 +292,17 @@ class _Evaluator:
         vertex factor is ``T_i^2 R_v^(val-3) / B_i^(val-1)`` and a mark's
         vertex sum of power ``w`` is ``sum_v R_v p_i^w (L / T_i)`` over
         ``L = lcm(T_0, ..., T_n)``.  The marks' denominator ``L^k`` is the
-        same for every tree, so it is divided out once, not once per tree.
+        same for every tree, so the trees' integer terms are added over the
+        running lcm of their denominators, one ``gcd`` per tree, and divided
+        by ``L^k`` in the slice's one ``Fraction``.
         """
-        total = Fraction(0)
+        num, den = 0, 1
         for graph in graphs:
-            total += Fraction(*self._class_term(graph))
-        return total / self._mark_denominator
+            term_num, term_den = self._class_term(graph)
+            g = gcd(den, term_den)
+            num = num * (term_den // g) + term_num * (den // g)
+            den *= term_den // g
+        return Fraction(num, den * self._mark_denominator)
 
     def _vertex_sum(self, label, rest):
         # the vertex factor T_i^2 (r + sum_f R_f)^(val-3) / B_i^(val-1) of
@@ -372,7 +380,7 @@ class _Evaluator:
             vertex_sums = [self._vertex_sum(j, below) for j in labels]
             table = [
                 [
-                    Fraction(*self._edge(i, j, de)) * vertex_sums[j](de * cofactor[j][i])
+                    Fraction(*self._edge(i, j, de)[2:]) * vertex_sums[j](de * cofactor[j][i])
                     if i != j
                     else None
                     for j in labels

@@ -55,7 +55,10 @@ def _as_table(values, max_degree=None) -> dict:
     for d, v in dict(values).items():
         if not isinstance(d, int) or isinstance(v, float):
             raise InputError(f"need integer degrees and exact values, got {d!r}: {v!r}")
-        table[d] = Fraction(v)
+        try:
+            table[d] = Fraction(v)
+        except (ValueError, TypeError, ZeroDivisionError):
+            raise InputError(f"degree {d}: {v!r} is not an exact rational") from None
     top = max_degree if max_degree is not None else (max(table) if table else 0)
     for d in range(1, top + 1):
         if d not in table:

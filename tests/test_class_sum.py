@@ -6,17 +6,22 @@ common denominator ``L^k`` out once per slice.  Here its totals must equal
 the sum of the original Fraction evaluator over the classes of the original
 canonical-key enumerator, which share no code with it, for one slice and for
 two; a vector must degenerate for one exactly when it degenerates for the
-other.  The string and divisor axioms and the plane-points values check the
-mark sums against the geometry.
+other.  A slice's running-lcm total must equal the sum of its classes' own
+totals, and each edge's memo entry must read the same from either end.  The
+string and divisor axioms and the plane-points values check the mark sums
+against the geometry, and the space quartics against the Kontsevich-Manin
+recursion.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
+from math import prod
 
 import pytest
 
 from gwlocal import CITarget, WeightVector, sample_weights, sum_invariant, wdvv_p2
-from gwlocal.localization import DegenerateWeights, _summands, _totals_at
+from gwlocal.localization import DegenerateWeights, _Evaluator, _summands, _totals_at
 
 import reference_graphs
 from reference_evaluator import ReferenceEvaluator, scaled
@@ -119,6 +124,43 @@ def test_degenerates_with_reference_class_sum(target, weights, degenerate):
     assert total == _reference_total(target, weights)
 
 
+class TestSliceSum:
+    """``classes_total`` adds its classes' integer terms over a running lcm,
+    and reads each edge's flags and factor from one memo keyed by the
+    ordered labels."""
+
+    @pytest.mark.parametrize(
+        "target", [CITarget(2, (), 3, (2,) * 8), CITarget(3, (), 2, (3, 3, 2, 2, 2, 2))], ids=_name
+    )
+    def test_slice_total_is_sum_of_class_totals(self, target):
+        graphs = _summands(target)[1]
+        evaluator = _Evaluator(scaled(sample_weights(4, target.ambient_dim), Fraction(7, 3)), target)
+        # terms with negative denominators exercise the signs of the running lcm
+        assert any(evaluator._class_term(graph)[1] < 0 for graph in graphs)
+        singles = [evaluator.classes_total((graph,)) for graph in graphs]
+        assert evaluator.classes_total(graphs) == sum(singles)
+        assert evaluator.classes_total(graphs[::-1]) == sum(singles)
+
+    def test_empty_slice_is_zero(self):
+        target = CITarget(2, (), 3, (2,) * 8)
+        assert _Evaluator(sample_weights(4, 2), target).classes_total(()) == 0
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["low-first", "high-first"])
+    def test_edge_in_both_orders(self, reverse):
+        p = sample_weights(4, 4).weights
+        evaluator = _Evaluator(sample_weights(4, 4), CITarget(4, (5,), 3, ()))
+        tangent = [prod(pi - pk for pk in p if pk != pi) for pi in p]
+        for i, j in combinations(range(5), 2):
+            if reverse:
+                i, j = j, i
+            for de in (1, 2, 3):
+                first = evaluator._edge(i, j, de)
+                assert evaluator._edge(j, i, de) == (first[1], first[0]) + first[2:]
+                # the flags are de * T_i / (p_i - p_j) and de * T_j / (p_j - p_i)
+                assert first[0] * (p[i] - p[j]) == de * tangent[i]
+                assert first[1] * (p[j] - p[i]) == de * tangent[j]
+
+
 class TestAxioms:
     """Insertions of power 0 and 1 against the string and divisor axioms,
     which fix them by the invariant without them."""
@@ -155,3 +197,14 @@ class TestPlanePoints:
         # conics and twisted cubics in P3 meeting 8 and 12 general lines
         assert sum_invariant(CITarget(3, (), 2, (2,) * 8)).value == 92
         assert sum_invariant(CITarget(3, (), 3, (2,) * 12)).value == 80160
+
+    @pytest.mark.parametrize(
+        "target, value",
+        [(CITarget(3, (), 4, (3,) * 8), 4), (CITarget(3, (), 4, (2,) * 16), 383306880)],
+        ids=["points", "lines"],
+    )
+    def test_space_quartics_match_kontsevich_manin(self, target, value):
+        # rational quartics in P3 through 8 points and meeting 16 lines, the
+        # Kontsevich-Manin recursion's values (hep-th/9402147)
+        result = sum_invariant(target)
+        assert (result.value, result.graph_count) == (value, 756)

@@ -144,6 +144,19 @@ class TestBPSTable:
         with pytest.raises(ValueError, match="integer degrees and exact values"):
             BPSTable(0, entries)
 
+    @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda v: BPSTable(0, {1: v}), "x"),  # Fraction raises ValueError
+            (lambda v: bps0_from_gw0({1: v}), None),  # TypeError
+            (lambda v: bps1_from_gw1({1: v}, BPSTable(0, {1: 5})), "1/0"),  # ZeroDivisionError
+        ],
+        ids=["literal", "none", "zero-denominator"],
+    )
+    def test_unreadable_value_is_input_error(self, build, value):
+        with pytest.raises(InputError, match=f"^degree 1: {re.escape(repr(value))} is not"):
+            build(value)
+
     def test_inversion_rejects_a_fractional_degree(self):
         with pytest.raises(ValueError, match="integer degrees"):
             bps0_from_gw0({1: 2875, 2.9: QUINTIC_GW0[2]})
