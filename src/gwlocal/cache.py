@@ -6,8 +6,9 @@ computed by older engines are never served for a newer one.  Writes go to a
 temporary file in the cache directory and are renamed into place, so a
 concurrent reader never sees a partial record; a record that cannot be parsed
 anyway, or that storing it again would not write back unchanged, is treated as
-a miss and rewritten by the next store.  Values are
-stored as decimal numerator/denominator strings; no floats touch the records.
+a miss and rewritten by the next store, and a store that fails costs only the
+record, never the caller's value.  Values are stored as decimal
+numerator/denominator strings; no floats touch the records.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
-from datetime import datetime, timezone
+from collections import namedtuple
 from fractions import Fraction
-from hashlib import sha256
 from pathlib import Path
+
+from .localization import ENGINE_VERSION
 
 __all__ = [
     "CacheRecord",
@@ -41,6 +42,8 @@ def canonical_query_encoding(query: dict) -> str:
 
 
 def cache_key(query: dict, engine_version: str) -> str:
+    from hashlib import sha256
+
     digest = sha256()
     digest.update(canonical_query_encoding(query).encode("ascii"))
     digest.update(b"\n")
@@ -60,64 +63,45 @@ def resolve_cache_dir(flag_value=None) -> Path:
     return Path(base) / "gwlocal"
 
 
-@dataclass(frozen=True)
-class CacheRecord:
-    key: str
-    query: dict
-    value: Fraction
-    seeds: tuple
-    graph_count: int
-    engine_version: str
-    created_at: str
+CacheRecord = namedtuple(
+    "CacheRecord", "key query value seeds graph_count engine_version created_at"
+)
 
 
 class ResultCache:
-    """Reads and writes :class:`CacheRecord` documents under one directory."""
+    """Reads and writes :class:`CacheRecord` documents under one directory,
+    keyed by query and :data:`~gwlocal.localization.ENGINE_VERSION`.  The
+    directory is ``directory``, or :func:`resolve_cache_dir`'s choice when
+    it is None or empty."""
 
-    def __init__(self, directory):
-        self.directory = Path(directory)
+    def __init__(self, directory=None):
+        self.directory = resolve_cache_dir(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    @staticmethod
-    def make_record(query: dict, value, seeds, graph_count: int, engine_version: str) -> CacheRecord:
-        value = Fraction(value)
-        return CacheRecord(
-            key=cache_key(query, engine_version),
-            query=query,
-            value=value,
-            seeds=tuple(int(s) for s in seeds),
-            graph_count=int(graph_count),
-            engine_version=engine_version,
-            created_at=datetime.now(timezone.utc).isoformat(),
-        )
-
-    def get(self, key: str):
-        """The record stored under ``key``, or None on a miss.
+    def get(self, query: dict):
+        """The record stored for ``query``, or None on a miss.
 
         A record that cannot be read or parsed counts as a miss, and so does
         one that :meth:`put` would not write back as it is, such as one whose
         fields have the wrong types: a note naming the file goes to stderr,
         and the caller's next :meth:`put` replaces it.
         """
+        key = cache_key(query, ENGINE_VERSION)
         path = self.path_for(key)
         if not path.exists():
             return None
         try:
             text = path.read_text(encoding="ascii")
-            document = json.loads(text)
-            if document["key"] != key:
-                raise ValueError(f"record holds key {document['key']!r}")
-            record = CacheRecord(
-                key=key,
-                query=document["query"],
-                value=Fraction(int(document["value"]["num"]), int(document["value"]["den"])),
-                seeds=tuple(map(int, document["seeds"])),
-                graph_count=int(document["graph_count"]),
-                engine_version=document["engine_version"],
-                created_at=document["created_at"],
+            record = CacheRecord(**json.loads(text))
+            if record.key != key:
+                raise ValueError(f"record holds key {record.key!r}")
+            record = record._replace(
+                value=Fraction(int(record.value["num"]), int(record.value["den"])),
+                seeds=tuple(map(int, record.seeds)),
+                graph_count=int(record.graph_count),
             )
             if self._payload(record) != text:
                 raise ValueError("record is not as storing it would write it")
@@ -128,28 +112,36 @@ class ResultCache:
 
     @staticmethod
     def _payload(record: CacheRecord) -> str:
-        document = {
-            "key": record.key,
-            "query": record.query,
-            "value": {
-                "num": str(record.value.numerator),
-                "den": str(record.value.denominator),
-            },
-            "seeds": list(record.seeds),
-            "graph_count": record.graph_count,
-            "engine_version": record.engine_version,
-            "created_at": record.created_at,
-        }
+        document = record._asdict()
+        value = record.value
+        document["value"] = {"num": str(value.numerator), "den": str(value.denominator)}
         return json.dumps(document, sort_keys=True, indent=1)
 
-    def put(self, record: CacheRecord) -> None:
-        payload = self._payload(record)
-        fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+    def put(self, query: dict, result) -> None:
+        """Store ``result``, an :class:`~gwlocal.localization.EngineResult`,
+        for ``query``.  A store that fails with an ``OSError`` writes a note
+        naming the file to stderr and leaves no temporary file behind; the
+        caller keeps its value."""
+        from datetime import datetime, timezone
+
+        record = CacheRecord(
+            key=cache_key(query, ENGINE_VERSION),
+            query=query,
+            value=result.value,
+            seeds=result.weight_seeds,
+            graph_count=result.graph_count,
+            engine_version=ENGINE_VERSION,
+            created_at=datetime.now(timezone.utc).isoformat(),
+        )
+        path = self.path_for(record.key)
+        tmp_name = None
         try:
+            fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self.path_for(record.key))
-        except BaseException:
-            if os.path.exists(tmp_name):
+                handle.write(self._payload(record))
+            os.replace(tmp_name, path)
+        except OSError as exc:
+            print(f"gwlocal: could not store cache record {path}: {exc!r}", file=sys.stderr)
+        finally:
+            if tmp_name is not None and os.path.exists(tmp_name):
                 os.unlink(tmp_name)
-            raise

@@ -8,21 +8,22 @@ and ``--quiet``.
 
 Exit codes: 0 success; 1 bad flags, or an ``InputError`` or ``OSError``
 from a command; 2 dimension mismatch; 3 engine failure (weight-independence
-violation or resampling exhaustion).  :func:`main` is the one place that
-maps exceptions to exit codes and prints them; any other exception is a bug
-and propagates as a traceback.
+violation or resampling exhaustion).  A cache record that cannot be read or
+stored is not an error: a note goes to stderr and the command goes on with
+the computed value.  :func:`main` is the one place that maps exceptions to
+exit codes and prints them; any other exception is a bug and propagates as a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import astuple, fields
 from fractions import Fraction
 
-from .cache import ResultCache, cache_key, resolve_cache_dir
+from .cache import ResultCache
 from .localization import (
     ENGINE_VERSION,
     DimensionMismatch,
@@ -147,18 +148,13 @@ def _cached_engine_value(cache, target, args):
     """Engine result for one genus-zero target, served from cache when the key
     matches; (value, graph_count, seeds) triple."""
     query = _genus0_query(target)
-    key = cache_key(query, ENGINE_VERSION)
-    record = cache.get(key)
+    record = cache.get(query)
     if record is not None:
-        _note(args, f"cache hit {key[:12]}")
-        return record.value, record.graph_count, tuple(record.seeds)
+        _note(args, f"cache hit {record.key[:12]}")
+        return record.value, record.graph_count, record.seeds
     seeds = (args.seed, args.seed + 1, args.seed + 2)
     result = sum_invariant(target, seeds=seeds, jobs=args.jobs)
-    cache.put(
-        ResultCache.make_record(
-            query, result.value, result.weight_seeds, result.graph_count, ENGINE_VERSION
-        )
-    )
+    cache.put(query, result)
     return result.value, result.graph_count, result.weight_seeds
 
 
@@ -202,6 +198,8 @@ def _emit(args, header, rows, doc, text=None) -> int:
             doc = {**doc, **records[0]}
         print(json.dumps(doc))
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_cell(v) for v in row] for row in rows)
@@ -223,7 +221,7 @@ def _emit(args, header, rows, doc, text=None) -> int:
 def cmd_genus0(args) -> int:
     degrees, insertions = _int_list(args.degrees), _int_list(args.insertions)
     target = CITarget(args.ambient_dim, degrees, args.curve_degree, insertions)
-    cache = ResultCache(resolve_cache_dir(args.cache_dir))
+    cache = ResultCache(args.cache_dir)
     value, graph_count, seeds = _cached_engine_value(cache, target, args)
     header = ("value", "graph_count", "seeds", "engine_version")
     row = (value, graph_count, seeds, ENGINE_VERSION)
@@ -235,7 +233,7 @@ def cmd_table1(args) -> int:
     table = load_table1()
     if not 1 <= args.max_degree <= table.max_degree:
         raise InputError(f"--max-degree must be 1..{table.max_degree}")
-    cache = ResultCache(resolve_cache_dir(args.cache_dir))
+    cache = ResultCache(args.cache_dir)
 
     def engine(d):
         return _cached_engine_value(cache, CITarget(4, (5,), d), args)[0]
@@ -254,10 +252,10 @@ def _gw0_table(args, path, unavailable) -> dict:
     the cache lacks a degree."""
     if path is not None:
         return read_degree_table(path, max_degree=args.max_degree)[0]
-    cache = ResultCache(resolve_cache_dir(args.cache_dir))
+    cache = ResultCache(args.cache_dir)
     table = {}
     for d in range(1, args.max_degree + 1):
-        record = cache.get(cache_key(_genus0_query(CITarget(4, (5,), d)), ENGINE_VERSION))
+        record = cache.get(_genus0_query(CITarget(4, (5,), d)))
         if record is None:
             raise InputError(unavailable)
         table[d] = record.value

@@ -521,27 +521,22 @@ def ProcessPoolExecutor(*args, **kwargs):
     return ProcessPoolExecutor(*args, **kwargs)
 
 
-def _totals_at(term, items, target, jobs, candidates):
-    """Totals of ``term`` over ``items`` at each weight vector in
-    ``candidates``, ``None`` where a vector degenerates.
+def _totals_at(shared, candidates, pool=None):
+    """Totals of the ``(term, items, target, slice_count)`` of ``shared`` at
+    each weight vector in ``candidates``, ``None`` where a vector
+    degenerates.
 
-    With ``jobs > 1`` and enough items, one pool evaluates every candidate
-    as ``jobs`` slices; the items reach each worker once, through the pool's
-    initializer, so a task carries only a weight vector and a slice index.
-    Only then is the pool machinery imported, through
-    :func:`ProcessPoolExecutor`.  Otherwise the same tasks run here, through
-    the builtin ``map``.
+    Each candidate is evaluated as ``slice_count`` slices of the items: by
+    ``pool``, whose workers got ``shared`` once, through its initializer, so
+    a task carries only a weight vector and a slice index; or, without a
+    pool, here, through the builtin ``map``.
     """
-    slice_count = jobs if jobs > 1 and len(items) >= 2 * jobs else 1
-    shared = (term, items, target, slice_count)
+    slice_count = shared[-1]
     tasks = [(weights, index) for weights in candidates for index in range(slice_count)]
-    if slice_count == 1:
+    if pool is None:
         partials = list(map(partial(_slice_total, shared), tasks))
     else:
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(shared,)
-        ) as pool:
-            partials = list(pool.map(_pooled_slice_total, tasks))
+        partials = list(pool.map(_pooled_slice_total, tasks))
     totals = []
     for start in range(0, len(partials), slice_count):
         parts = partials[start : start + slice_count]
@@ -560,15 +555,16 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     its degree-decorated shapes, each shape's labellings at once, and its
     classes are counted but never listed (see :func:`_summands`).
     ``graph_count`` is the number of classes either way.  Every seed's first
-    weight vector is evaluated in one batch: ``jobs > 1`` spreads it over
-    one pool of worker processes, each vector split into ``jobs`` slices of
-    the classes or shapes.  The pool machinery is imported only when a call
-    opens a pool, so a serial call never loads it.  The seeds are then
-    resolved in order: while a seed's vector degenerates, or repeats the
-    vector an earlier seed accepted, the seed moves to its next attempt,
-    and a vector not yet evaluated is evaluated on its own, through a pool
-    of its own when ``jobs > 1``.  Exact addition commutes, so the result
-    is identical for any worker count.
+    weight vector is evaluated in one batch: with ``jobs > 1`` and at least
+    ``2·jobs`` classes or shapes, it is spread over one pool of worker
+    processes, each vector split into ``jobs`` slices of them.  The pool
+    machinery is imported only when a call opens a pool, so a serial call
+    never loads it.  The seeds are then resolved in order: while a seed's
+    vector degenerates, or repeats the vector an earlier seed accepted, the
+    seed moves to its next attempt, and a vector not yet evaluated is
+    evaluated on its own, by the same pool, which stays open until the last
+    seed is resolved.  Exact addition commutes, so the result is identical
+    for any worker count.
 
     Raises :class:`~gwlocal.targets.InputError` if ``jobs`` is not an
     integer of at least 1, a seed is not an integer, fewer than two distinct
@@ -595,24 +591,33 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
         )
     term, items, graph_count = _summands(target)
     n = target.ambient_dim
-    # every seed's first vector in one batch, so a call without degeneracy
-    # opens at most one pool
+    slice_count = jobs if jobs > 1 and len(items) >= 2 * jobs else 1
+    shared = (term, items, target, slice_count)
+    # every seed's first vector in one batch; the call's one pool, if any,
+    # opens for it and serves the resampling walk too
     first = [sample_weights(seed, n) for seed in seeds]
     fresh = {weights.weights: weights for weights in first}
-    evaluated = dict(zip(fresh, _totals_at(term, items, target, jobs, list(fresh.values()))))
-    accepted = {}  # weights -> total, in seed order
-    for seed, weights in zip(seeds, first):
-        attempt = 0
-        while evaluated[weights.weights] is None or weights.weights in accepted:
-            attempt += 1
-            if attempt == _MAX_RESAMPLE:
-                raise ResamplingExhausted(
-                    f"no admissible weights for seed {seed} after {_MAX_RESAMPLE} attempts"
-                )
-            weights = sample_weights(seed, n, attempt)
-            if weights.weights not in evaluated:
-                (evaluated[weights.weights],) = _totals_at(term, items, target, jobs, [weights])
-        accepted[weights.weights] = evaluated[weights.weights]
+    pool = None
+    if slice_count > 1:
+        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(shared,))
+    try:
+        evaluated = dict(zip(fresh, _totals_at(shared, list(fresh.values()), pool)))
+        accepted = {}  # weights -> total, in seed order
+        for seed, weights in zip(seeds, first):
+            attempt = 0
+            while evaluated[weights.weights] is None or weights.weights in accepted:
+                attempt += 1
+                if attempt == _MAX_RESAMPLE:
+                    raise ResamplingExhausted(
+                        f"no admissible weights for seed {seed} after {_MAX_RESAMPLE} attempts"
+                    )
+                weights = sample_weights(seed, n, attempt)
+                if weights.weights not in evaluated:
+                    (evaluated[weights.weights],) = _totals_at(shared, [weights], pool)
+            accepted[weights.weights] = evaluated[weights.weights]
+    finally:
+        if pool is not None:
+            pool.shutdown()
     totals = list(accepted.values())
     if any(total != totals[0] for total in totals[1:]):
         raise WeightIndependenceFailure(

@@ -21,6 +21,7 @@ from math import prod
 import pytest
 
 from gwlocal import CITarget, WeightVector, sample_weights, sum_invariant, wdvv_p2
+from gwlocal import localization
 from gwlocal.localization import DegenerateWeights, _Evaluator, _summands, _totals_at
 
 import reference_graphs
@@ -46,8 +47,16 @@ def _reference_total(target, weights):
 
 
 def _class_totals(target, candidates, jobs=1):
+    # each vector in ``jobs`` slices, by a pool of ``jobs`` workers if more
+    # than one
     term, graphs, _count = _summands(target)
-    return _totals_at(term, graphs, target, jobs, candidates)
+    shared = (term, graphs, target, jobs)
+    if jobs == 1:
+        return _totals_at(shared, candidates)
+    with localization.ProcessPoolExecutor(
+        max_workers=jobs, initializer=localization._init_worker, initargs=(shared,)
+    ) as pool:
+        return _totals_at(shared, candidates, pool)
 
 
 def _name(target):

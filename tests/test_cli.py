@@ -244,6 +244,56 @@ class TestCache:
             assert code == 0
             assert "cache hit" in err
 
+    def test_record_in_the_stored_layout_is_a_hit(self, capsys, cache_dir):
+        # the bytes an earlier release stored for the quintic lines: the key
+        # and the layout are unchanged, so it is served as it stands
+        key = "aae8f93be09ff400311b5787b001a9b541f9c5bb799c2ebf3090e5a4dd8f367f"
+        record = (
+            '{\n "created_at": "2026-10-19T17:04:57.643908+00:00",\n'
+            ' "engine_version": "0.1.0",\n "graph_count": 10,\n'
+            f' "key": "{key}",\n'
+            ' "query": {\n  "ambient_dim": 4,\n  "curve_degree": 1,\n'
+            '  "degrees": [\n   5\n  ],\n  "insertions": [],\n  "kind": "genus0"\n },\n'
+            ' "seeds": [\n  1,\n  2,\n  3\n ],\n'
+            ' "value": {\n  "den": "1",\n  "num": "2875"\n }\n}'
+        )
+        record_path = Path(cache_dir) / f"{key}.json"
+        record_path.parent.mkdir(parents=True)
+        record_path.write_text(record, encoding="ascii")
+        code, out, err = run(
+            capsys,
+            "genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "1",
+            "--cache-dir", cache_dir,
+        )
+        assert code == 0
+        assert "value: 2875" in out
+        assert err == "cache hit aae8f93be09f\n"
+        assert record_path.read_text(encoding="ascii") == record
+
+    def test_failed_store_keeps_the_value(self, capsys, cache_dir):
+        # a directory where the record belongs: every store fails with
+        # EISDIR, yet each run prints the computed value and exits 0
+        query = {
+            "kind": "genus0",
+            "ambient_dim": 4,
+            "degrees": [5],
+            "curve_degree": 1,
+            "insertions": [],
+        }
+        record_path = Path(cache_dir) / f"{cache_key(query, ENGINE_VERSION)}.json"
+        record_path.mkdir(parents=True)
+        for argv in [
+            ("genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "1"),
+            ("genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "1"),
+            ("table1", "--max-degree", "1"),
+        ]:
+            code, out, err = run(capsys, *argv, "--cache-dir", cache_dir)
+            assert code == 0
+            assert "2875" in out
+            assert f"could not store cache record {record_path}" in err
+            assert "Is a directory" in err
+        assert sorted(path.name for path in Path(cache_dir).iterdir()) == [record_path.name]
+
     def test_key_depends_on_engine_version(self):
         query = {"kind": "genus0", "ambient_dim": 4}
         assert cache_key(query, "0.1.0") != cache_key(query, "0.2.0")

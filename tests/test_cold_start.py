@@ -1,11 +1,14 @@
 """A cold start loads the process-pool machinery only for a call that opens a
-pool.
+pool, and the CLI's own standard-library modules only for a command that
+uses them.
 
 ``concurrent.futures.process`` pulls in ``multiprocessing``, ``socket``,
 ``subprocess`` and ``logging``; importing them at package import would cost
 every short CLI run, though only ``sum_invariant`` with ``jobs > 1`` and
-enough items ever opens a pool.  Each check runs in a fresh interpreter,
-since this one has long since loaded them.
+enough items ever opens a pool.  Likewise ``hashlib`` serves only cache
+keys, ``datetime`` only a cache store and ``csv`` only ``--format csv``.
+Each check runs in a fresh interpreter, since this one has long since loaded
+them.
 """
 
 import json
@@ -17,14 +20,16 @@ from pathlib import Path
 import gwlocal
 
 POOL_MODULES = ["concurrent.futures.process", "multiprocessing"]
+CLI_MODULES = ["csv", "hashlib", "datetime"]
 
-SERIAL = """
+DIMS = ["dims", "--genus", "1", "--c1a", "10", "--half-dim", "4", "--bundle-c1a", "10"]
+WDVV = ["wdvv", "--max-degree", "3"]
+QUINTIC_LINES = ["genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "1"]
+
+COMMANDS = """
 import json, runpy, sys
 import gwlocal
-for argv in (
-    ["dims", "--genus", "1", "--c1a", "10", "--half-dim", "4", "--bundle-c1a", "10"],
-    ["wdvv", "--max-degree", "3"],
-):
+for argv in ARGVS:
     sys.argv = ["gwlocal", *argv]
     try:
         runpy.run_module("gwlocal", run_name="__main__", alter_sys=True)
@@ -42,13 +47,14 @@ print(json.dumps([before, value, [name for name in MODULES if name in sys.module
 """
 
 
-def fresh_interpreter(script, tmp_path):
+def fresh_interpreter(script, tmp_path, modules=POOL_MODULES):
     # the last line of stdout, parsed, from a child that imports gwlocal
-    # from the same directory as this process
+    # from the same directory as this process; MODULES in the script is
+    # replaced by ``modules``
     package_root = str(Path(gwlocal.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     proc = subprocess.run(
-        [sys.executable, "-c", script.replace("MODULES", repr(POOL_MODULES))],
+        [sys.executable, "-c", script.replace("MODULES", repr(modules))],
         capture_output=True,
         text=True,
         cwd=tmp_path,
@@ -62,8 +68,27 @@ def fresh_interpreter(script, tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def loaded_after(tmp_path, modules, *argvs):
+    # which of ``modules`` a fresh interpreter holds after the commands
+    return fresh_interpreter(COMMANDS.replace("ARGVS", repr(argvs)), tmp_path, modules)
+
+
 def test_serial_commands_never_load_the_pool(tmp_path):
-    assert fresh_interpreter(SERIAL, tmp_path) == []
+    assert loaded_after(tmp_path, POOL_MODULES, DIMS, WDVV) == []
+
+
+def test_dims_and_wdvv_load_no_cli_only_module(tmp_path):
+    assert loaded_after(tmp_path, CLI_MODULES, DIMS, WDVV) == []
+
+
+def test_csv_output_loads_csv(tmp_path):
+    assert loaded_after(tmp_path, CLI_MODULES, WDVV + ["--format", "csv"]) == ["csv"]
+
+
+def test_cache_hit_needs_only_the_key(tmp_path):
+    # a miss stores a record, with its creation time; a hit only hashes
+    assert loaded_after(tmp_path, CLI_MODULES, QUINTIC_LINES) == ["hashlib", "datetime"]
+    assert loaded_after(tmp_path, CLI_MODULES, QUINTIC_LINES) == ["hashlib"]
 
 
 def test_first_pool_loads_it(tmp_path):

@@ -148,7 +148,7 @@ class TestMarkedVersusFactored:
 class TestCovariance:
     def _total(self, target, weights):
         term, items, _count = localization._summands(target)
-        (total,) = localization._totals_at(term, items, target, 1, [weights])
+        (total,) = localization._totals_at((term, items, target, 1), [weights])
         assert total is not None, "weights degenerated"
         return total
 
@@ -214,16 +214,25 @@ class TestDegeneracy:
         # no mock of the weights: on the quintic at d=4 the first vector of
         # each of these seeds degenerates, and so does seed 27's second
         real = localization.sample_weights
+        real_pool = localization.ProcessPoolExecutor
         calls = []
+        pools = []
 
         def recorded(seed, n, attempt=0):
             calls.append((seed, attempt))
             return real(seed, n, attempt)
 
+        def counted_pool(*args, **kwargs):
+            pools.append(real_pool(*args, **kwargs))
+            return pools[-1]
+
         monkeypatch.setattr(localization, "sample_weights", recorded)
+        monkeypatch.setattr(localization, "ProcessPoolExecutor", counted_pool)
         result = sum_invariant(CITarget(4, (5,), 4), seeds=(27, 75, 191), jobs=jobs)
         assert result.value == Fraction(15517926796875, 64)
         assert sorted(calls) == [(27, 0), (27, 1), (27, 2), (75, 0), (75, 1), (191, 0), (191, 1)]
+        # one pool serves the first batch and all four resampled vectors
+        assert len(pools) == (jobs > 1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_exhaustion_names_the_first_seed_in_order(self, monkeypatch, jobs):

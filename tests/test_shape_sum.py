@@ -40,7 +40,7 @@ def _reference_total(target, weights):
 
 def _shape_total(target, weights):
     term, shapes, _count = _summands(target)
-    (total,) = _totals_at(term, shapes, target, 1, [weights])
+    (total,) = _totals_at((term, shapes, target, 1), [weights])
     return total
 
 
