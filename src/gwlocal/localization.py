@@ -38,11 +38,22 @@ sum each mark's vertex sum is an integer over ``L = lcm(T_0, ..., T_n)``;
 the marks' common denominator ``L^k`` is the same for every class, so the
 class sum adds a slice's integer terms over the running lcm of their
 denominators and makes one ``Fraction`` per slice, divided by ``L^k``.
+
+These tables depend on the weight vector, the hypersurface degrees and the
+insertions, but not on the curve degree, so they outlive a call.  The
+calling process keeps the evaluators of the last :func:`sum_invariant`
+call that evaluated there, and the next call reuses each one whose vector
+it draws again: a loop over degrees at the same seeds builds each vector's
+tables once.  A call drops every kept evaluator it does not draw before it
+evaluates anything, so at most one call's tables are held, until the next
+call starts; a call that opens a pool evaluates nothing itself and keeps
+none, and its workers build their own per task.
 """
 
 from __future__ import annotations
 
 import random
+from _thread import allocate_lock
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -80,6 +91,15 @@ ENGINE_VERSION = "0.1.0"
 WEIGHT_BOUND = 10_000
 
 _MAX_RESAMPLE = 64
+
+# the evaluators of the last sum_invariant call that evaluated in this
+# process, keyed by _evaluator_key; the next call keeps the ones it draws
+# first and drops the rest before it evaluates anything
+_evaluators = {}
+
+# serialises the growth of an evaluator's vertex table, so that the table
+# only grows when concurrent calls share the evaluator
+_growth = allocate_lock()
 
 
 class DegenerateWeights(ArithmeticError):
@@ -156,8 +176,17 @@ class _Evaluator:
     the ``T_i``.  :meth:`classes_total` sums a slice of unmarked trees,
     dividing by the marks' ``L^k`` once; :meth:`shape_value` sums every
     labelling of one shape from the same edge memo and tables, and shares
-    the tables of equal subtrees across shapes.  Instances are cheap and
-    process-local; each worker builds its own.
+    the tables of equal subtrees across shapes.
+
+    None of these tables depends on the curve degree except the vertex
+    parts, which cover valences up to it and grow through :meth:`reach`.
+    So one instance serves every curve degree at its weights, hypersurface
+    degrees and insertions: the calling process keeps the instances its
+    last :func:`sum_invariant` call evaluated with and lends each to the
+    next call that draws its vector (see the module docstring), while a
+    pool worker builds one per task.  Concurrent calls that share an
+    instance stay exact: its memos only gain entries, each holding the one
+    value its key determines, and its vertex table only grows.
     """
 
     def __init__(self, weights: WeightVector, target: CITarget):
@@ -166,7 +195,7 @@ class _Evaluator:
         lam = weights.weights
         scale = lcm(*(w.denominator for w in lam))
         self.p = tuple(w.numerator * (scale // w.denominator) for w in lam)
-        self.target = target
+        self.degrees = target.degrees
         # per label: the tangent product T_i = prod_{k != i} (p_i - p_k) and
         # B_i = prod_a a * p_i, the bases of the vertex factors
         tangent = tuple(
@@ -179,13 +208,9 @@ class _Evaluator:
             tuple(ti // (pi - pj) if i != j else 0 for j, pj in enumerate(self.p))
             for i, (pi, ti) in enumerate(zip(self.p, tangent))
         )
-        # [i][val - 1]: T_i^2 and B_i^(val-1), the parts of the vertex factor
-        # fixed by label and valence; a tree of degree d has at most d edges,
-        # so 1 <= val <= d
-        self._vertex_parts = tuple(
-            tuple((t * t, b**e) for e in range(target.curve_degree))
-            for t, b in zip(tangent, bundle_vertex)
-        )
+        self._bases = tuple(zip(tangent, bundle_vertex))
+        self._reached = 0
+        self.reach(target.curve_degree)
         # per distinct insertion power w: p_i^w * L / T_i per label, and the
         # number of marks of that power; L^k is the marks' common denominator
         common = lcm(*tangent)
@@ -198,6 +223,18 @@ class _Evaluator:
         self._mark_denominator = common ** len(powers)
         self._edges = {}
         self._branch_tables = {}
+
+    def reach(self, d):
+        """Extend the vertex parts to the valences of trees of degree ``d``."""
+        # [i][val - 1]: T_i^2 and B_i^(val-1), the parts of the vertex factor
+        # fixed by label and valence; a tree of degree d has at most d edges,
+        # so 1 <= val <= d.  A shorter table is never put back
+        with _growth:
+            if d > self._reached:
+                self._vertex_parts = tuple(
+                    tuple((t * t, b**e) for e in range(d)) for t, b in self._bases
+                )
+                self._reached = d
 
     def _edge(self, i, j, de):
         # (flag_i, flag_j, num, den) for an edge of degree de from label i to
@@ -219,7 +256,7 @@ class _Evaluator:
             factors = (len(self.p) - 2) * (de + 1)
             num = (-1) ** (de + 1) * de ** (2 * de + 1 + factors)
             den = factorial(de) ** 2 * (pi - pj) ** (2 * de + 2)
-            for a in self.target.degrees:
+            for a in self.degrees:
                 m = a * de
                 for c in range(m + 1):
                     num *= c * pi + (m - c) * pj
@@ -475,14 +512,33 @@ def _init_worker(shared):
     _worker_shared = shared
 
 
-def _slice_total(shared, task):
+def _evaluator_key(weights, target):
+    # what an _Evaluator's tables depend on: all of its target but the
+    # curve degree
+    return weights.weights, target.degrees, target.insertions
+
+
+def _slice_total(shared, task, evaluators=None):
     """Sum over one slice of the items at one weight vector, or ``None`` if
     the vector degenerates on an item of the slice.  Degeneracy is returned
-    rather than raised so that one bad vector does not abort a whole map."""
+    rather than raised so that one bad vector does not abort a whole map.
+
+    ``evaluators`` maps :func:`_evaluator_key` to the evaluator to reuse,
+    extended to the target's degree, and gains any evaluator built here;
+    without it, the evaluator is built for this slice alone."""
     term, items, target, slice_count = shared
     weights, index = task
+    if evaluators is None:
+        evaluator = _Evaluator(weights, target)
+    else:
+        key = _evaluator_key(weights, target)
+        evaluator = evaluators.get(key)
+        if evaluator is None:
+            evaluator = evaluators[key] = _Evaluator(weights, target)
+        else:
+            evaluator.reach(target.curve_degree)
     try:
-        return term(_Evaluator(weights, target), items[index::slice_count])
+        return term(evaluator, items[index::slice_count])
     except DegenerateWeights:
         return None
 
@@ -521,7 +577,7 @@ def ProcessPoolExecutor(*args, **kwargs):
     return ProcessPoolExecutor(*args, **kwargs)
 
 
-def _totals_at(shared, candidates, pool=None):
+def _totals_at(shared, candidates, pool=None, evaluators=None):
     """Totals of the ``(term, items, target, slice_count)`` of ``shared`` at
     each weight vector in ``candidates``, ``None`` where a vector
     degenerates.
@@ -529,12 +585,13 @@ def _totals_at(shared, candidates, pool=None):
     Each candidate is evaluated as ``slice_count`` slices of the items: by
     ``pool``, whose workers got ``shared`` once, through its initializer, so
     a task carries only a weight vector and a slice index; or, without a
-    pool, here, through the builtin ``map``.
+    pool, here, through the builtin ``map``, with the evaluators found in or
+    added to ``evaluators`` (see :func:`_slice_total`).
     """
     slice_count = shared[-1]
     tasks = [(weights, index) for weights in candidates for index in range(slice_count)]
     if pool is None:
-        partials = list(map(partial(_slice_total, shared), tasks))
+        partials = list(map(partial(_slice_total, shared, evaluators=evaluators), tasks))
     else:
         partials = list(pool.map(_pooled_slice_total, tasks))
     totals = []
@@ -542,6 +599,11 @@ def _totals_at(shared, candidates, pool=None):
         parts = partials[start : start + slice_count]
         totals.append(None if any(part is None for part in parts) else sum(parts, Fraction(0)))
     return totals
+
+
+def _is_integer(value):
+    # an int that is not a bool: True and False are ints to isinstance
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineResult:
@@ -566,21 +628,34 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     seed is resolved.  Exact addition commutes, so the result is identical
     for any worker count.
 
+    A call that evaluates in this process, with no pool, keeps each
+    vector's evaluator (its edge memo and tables, see :class:`_Evaluator`)
+    until the next call starts.  The next call reuses those of its own first
+    vectors, whatever its curve degree, and drops the rest before it
+    evaluates anything; a call that opens a pool drops them all and keeps
+    none.  So a loop over degrees at the same seeds builds each vector's
+    tables once, and values, ``graph_count`` and the vectors drawn are
+    those of a call with nothing kept.
+
     Raises :class:`~gwlocal.targets.InputError` if ``jobs`` is not an
-    integer of at least 1, a seed is not an integer, fewer than two distinct
-    seeds are given or a hypersurface factor is not positive;
+    integer of at least 1, a seed is not an integer, fewer than two seeds
+    are given, two seeds are equal or a hypersurface factor is not
+    positive (``bool`` is not accepted as an integer for ``jobs`` or a
+    seed);
     :class:`DimensionMismatch` if the insertions do not cut the problem to
     dimension zero, :class:`ResamplingExhausted` if every weight vector a
     seed offers degenerates (naming the first such seed), and
     :class:`WeightIndependenceFailure` if the per-seed totals disagree.
     """
-    if not isinstance(jobs, int) or jobs < 1:
+    if not _is_integer(jobs) or jobs < 1:
         raise InputError(f"jobs must be a positive integer, got {jobs!r}")
     seeds = tuple(seeds)
-    if not all(isinstance(s, int) for s in seeds):
+    if not all(map(_is_integer, seeds)):
         raise InputError(f"seeds must be integers, got {seeds!r}")
-    if len(seeds) < 2 or len(set(seeds)) != len(seeds):
-        raise InputError("need at least two distinct seeds")
+    if len(seeds) < 2:
+        raise InputError(f"need at least two seeds, got {seeds!r}")
+    if len(set(seeds)) != len(seeds):
+        raise InputError(f"seeds must be pairwise distinct, got {seeds!r}")
     if not positivity_check(target):
         raise InputError("target has a non-positive hypersurface factor")
     supplied = sum(target.insertions)
@@ -597,11 +672,18 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     # opens for it and serves the resampling walk too
     first = [sample_weights(seed, n) for seed in seeds]
     fresh = {weights.weights: weights for weights in first}
+    # the last call's evaluators of this call's first vectors, if it
+    # evaluates here; every other is dropped before anything is evaluated
+    # or a pool worker forked
+    global _evaluators
+    keys = [_evaluator_key(weights, target) for weights in fresh.values()]
+    kept = {} if slice_count > 1 else _evaluators
+    _evaluators = evaluators = {key: kept[key] for key in keys if key in kept}
     pool = None
     if slice_count > 1:
         pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(shared,))
     try:
-        evaluated = dict(zip(fresh, _totals_at(shared, list(fresh.values()), pool)))
+        evaluated = dict(zip(fresh, _totals_at(shared, list(fresh.values()), pool, evaluators)))
         accepted = {}  # weights -> total, in seed order
         for seed, weights in zip(seeds, first):
             attempt = 0
@@ -613,7 +695,9 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
                     )
                 weights = sample_weights(seed, n, attempt)
                 if weights.weights not in evaluated:
-                    (evaluated[weights.weights],) = _totals_at(shared, [weights], pool)
+                    (evaluated[weights.weights],) = _totals_at(
+                        shared, [weights], pool, evaluators
+                    )
             accepted[weights.weights] = evaluated[weights.weights]
     finally:
         if pool is not None:

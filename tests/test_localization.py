@@ -1,5 +1,7 @@
 """Weight sampling, per-tree contributions, and the certified graph sum."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -248,6 +250,93 @@ class TestDegeneracy:
             sum_invariant(CITarget(2, (), 3, (2,) * 8), seeds=(5, 3), jobs=jobs)
 
 
+class TestKeptEvaluators:
+    """The calling process keeps the last serial call's evaluators, one per
+    weight vector, and the next call reuses those it draws again at any
+    curve degree; values, class counts and draws are those of a call with
+    nothing kept."""
+
+    @staticmethod
+    def _recorded(monkeypatch):
+        # the (seed, attempt) draws of the calls made after this
+        real = localization.sample_weights
+        calls = []
+
+        def recorded(seed, n, attempt=0):
+            calls.append((seed, attempt))
+            return real(seed, n, attempt)
+
+        monkeypatch.setattr(localization, "sample_weights", recorded)
+        return calls
+
+    @staticmethod
+    def _isolated(target, seeds, calls):
+        # value, class count and sorted draws of a call with nothing kept
+        localization._evaluators.clear()
+        calls.clear()
+        result = sum_invariant(target, seeds=seeds)
+        return result.value, result.graph_count, sorted(calls)
+
+    def test_degree_loop_builds_each_vector_once(self, monkeypatch):
+        real = _Evaluator.__init__
+        built = []
+
+        def counted(self, weights, target):
+            built.append(weights.weights)
+            real(self, weights, target)
+
+        monkeypatch.setattr(_Evaluator, "__init__", counted)
+        localization._evaluators.clear()
+        for d in range(1, 5):
+            sum_invariant(CITarget(4, (5,), d), seeds=(1, 2, 3))
+        assert len(built) == 3
+        kept = [weakref.ref(evaluator) for evaluator in localization._evaluators.values()]
+        assert len(kept) == 3
+        # a call at other weights drops every kept evaluator before it
+        # builds its own, so at most one call's tables are held
+        sum_invariant(CITarget(4, (5,), 2), seeds=(4, 5))
+        gc.collect()
+        assert all(ref() is None for ref in kept)
+        assert len(built) == 5
+        # a pooled call evaluates nothing here, so it keeps nothing
+        sum_invariant(CITarget(4, (5,), 3), seeds=(4, 5), jobs=2)
+        assert localization._evaluators == {}
+
+    @pytest.mark.parametrize("seeds", [(1, 2, 3), (27, 75, 191)])
+    def test_reuse_leaves_no_trace(self, monkeypatch, seeds):
+        # seeds 27, 75 and 191 resample at several of these degrees; at
+        # jobs=2, degree 3 and up opens a pool, which drops what was kept
+        calls = self._recorded(monkeypatch)
+        for n, degrees, top in [(4, (5,), 4), (5, (3, 3), 3), (7, (2, 2, 2, 2), 2)]:
+            targets = [CITarget(n, degrees, d) for d in range(1, top + 1)]
+            isolated = {target: self._isolated(target, seeds, calls) for target in targets}
+            for jobs in (1, 2):
+                for loop in (targets, targets[::-1]):
+                    localization._evaluators.clear()
+                    for target in loop:
+                        calls.clear()
+                        result = sum_invariant(target, seeds=seeds, jobs=jobs)
+                        seen = result.value, result.graph_count, sorted(calls)
+                        assert seen == isolated[target], (target, jobs)
+
+    def test_degeneracy_survives_reuse(self, monkeypatch):
+        # the first vectors of seeds 75 and 203 are admissible for the
+        # quintic at d=2 and degenerate at d=3; kept from the d=2 call, they
+        # must still degenerate, and the seeds resample as they do alone
+        calls = self._recorded(monkeypatch)
+        low, high = CITarget(4, (5,), 2), CITarget(4, (5,), 3)
+        seeds = (75, 203)
+        alone = self._isolated(high, seeds, calls)
+        assert alone[2] == [(75, 0), (75, 1), (203, 0), (203, 1)]
+        assert self._isolated(low, seeds, calls)[2] == [(75, 0), (203, 0)]
+        reused = list(localization._evaluators.values())
+        calls.clear()
+        result = sum_invariant(high, seeds=seeds)
+        assert (result.value, result.graph_count, sorted(calls)) == alone
+        kept = list(localization._evaluators.values())
+        assert all(evaluator in kept for evaluator in reused)
+
+
 class TestCertification:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_weight_dependent_sum_is_refused(self, monkeypatch, jobs):
@@ -279,10 +368,23 @@ class TestInputPolicing:
             sum_invariant(CITarget(2, (), 1, (2,)))
 
     def test_seed_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="need at least two seeds"):
             sum_invariant(CITarget(4, (5,), 1), seeds=(1,))
-        with pytest.raises(ValueError):
+        # two distinct seeds are present, but one is repeated
+        with pytest.raises(InputError, match="seeds must be pairwise distinct"):
             sum_invariant(CITarget(4, (5,), 1), seeds=(1, 1, 2))
+
+    @pytest.mark.parametrize("seeds", [(True, 2), (1, False, 3)])
+    def test_bool_seeds_rejected(self, seeds):
+        # True and False are ints to isinstance; as seeds they would be
+        # drawn as 1 and 0 and echoed back in weight_seeds
+        with pytest.raises(InputError, match="seeds must be integers"):
+            sum_invariant(CITarget(4, (5,), 1), seeds=seeds)
+
+    @pytest.mark.parametrize("jobs", [True, False])
+    def test_bool_jobs_rejected(self, jobs):
+        with pytest.raises(InputError, match="jobs must be a positive integer"):
+            sum_invariant(CITarget(4, (5,), 1), jobs=jobs)
 
     @pytest.mark.parametrize("seeds", [(1.5, 2.5, 3), (1.5, 1.7, 3)])
     def test_non_integral_seeds_rejected(self, seeds):
