@@ -42,12 +42,14 @@ denominators and makes one ``Fraction`` per slice, divided by ``L^k``.
 These tables depend on the weight vector, the hypersurface degrees and the
 insertions, but not on the curve degree, so they outlive a call.  The
 calling process keeps the evaluators of the last :func:`sum_invariant`
-call that evaluated there, and the next call reuses each one whose vector
-it draws again: a loop over degrees at the same seeds builds each vector's
-tables once.  A call drops every kept evaluator it does not draw before it
-evaluates anything, so at most one call's tables are held, until the next
-call starts; a call that opens a pool evaluates nothing itself and keeps
-none, and its workers build their own per task.
+call that evaluated there, and the next call reuses those of its first
+vectors, the ones its seeds draw at attempt 0: a loop over degrees at the
+same seeds builds each first vector's tables once.  The call decides this
+before it evaluates anything and drops every other kept evaluator, so at
+most one call's tables are held, until the next call starts; a vector the
+call reaches by resampling is built afresh, even if the last call reached
+it too.  A call that opens a pool evaluates nothing itself and keeps none,
+and its workers build their own per task.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ class _Evaluator:
     So one instance serves every curve degree at its weights, hypersurface
     degrees and insertions: the calling process keeps the instances its
     last :func:`sum_invariant` call evaluated with and lends each to the
-    next call that draws its vector (see the module docstring), while a
-    pool worker builds one per task.  Concurrent calls that share an
+    next call that draws its vector first, at attempt 0 (see the module
+    docstring), while a pool worker builds one per task.  Concurrent calls that share an
     instance stay exact: its memos only gain entries, each holding the one
     value its key determines, and its vertex table only grows.
     """
@@ -209,7 +211,7 @@ class _Evaluator:
             for i, (pi, ti) in enumerate(zip(self.p, tangent))
         )
         self._bases = tuple(zip(tangent, bundle_vertex))
-        self._reached = 0
+        self._vertex_parts = ((),) * len(self._bases)
         self.reach(target.curve_degree)
         # per distinct insertion power w: p_i^w * L / T_i per label, and the
         # number of marks of that power; L^k is the marks' common denominator
@@ -230,11 +232,10 @@ class _Evaluator:
         # fixed by label and valence; a tree of degree d has at most d edges,
         # so 1 <= val <= d.  A shorter table is never put back
         with _growth:
-            if d > self._reached:
+            if d > len(self._vertex_parts[0]):
                 self._vertex_parts = tuple(
                     tuple((t * t, b**e) for e in range(d)) for t, b in self._bases
                 )
-                self._reached = d
 
     def _edge(self, i, j, de):
         # (flag_i, flag_j, num, den) for an edge of degree de from label i to
@@ -518,25 +519,21 @@ def _evaluator_key(weights, target):
     return weights.weights, target.degrees, target.insertions
 
 
-def _slice_total(shared, task, evaluators=None):
+def _slice_total(shared, task, evaluators):
     """Sum over one slice of the items at one weight vector, or ``None`` if
     the vector degenerates on an item of the slice.  Degeneracy is returned
     rather than raised so that one bad vector does not abort a whole map.
 
     ``evaluators`` maps :func:`_evaluator_key` to the evaluator to reuse,
-    extended to the target's degree, and gains any evaluator built here;
-    without it, the evaluator is built for this slice alone."""
+    extended to the target's degree, and gains any evaluator built here."""
     term, items, target, slice_count = shared
     weights, index = task
-    if evaluators is None:
-        evaluator = _Evaluator(weights, target)
+    key = _evaluator_key(weights, target)
+    evaluator = evaluators.get(key)
+    if evaluator is None:
+        evaluator = evaluators[key] = _Evaluator(weights, target)
     else:
-        key = _evaluator_key(weights, target)
-        evaluator = evaluators.get(key)
-        if evaluator is None:
-            evaluator = evaluators[key] = _Evaluator(weights, target)
-        else:
-            evaluator.reach(target.curve_degree)
+        evaluator.reach(target.curve_degree)
     try:
         return term(evaluator, items[index::slice_count])
     except DegenerateWeights:
@@ -544,7 +541,7 @@ def _slice_total(shared, task, evaluators=None):
 
 
 def _pooled_slice_total(task):
-    return _slice_total(_worker_shared, task)
+    return _slice_total(_worker_shared, task, {})
 
 
 def _summands(target):
@@ -586,8 +583,10 @@ def _totals_at(shared, candidates, pool=None, evaluators=None):
     ``pool``, whose workers got ``shared`` once, through its initializer, so
     a task carries only a weight vector and a slice index; or, without a
     pool, here, through the builtin ``map``, with the evaluators found in or
-    added to ``evaluators`` (see :func:`_slice_total`).
+    added to ``evaluators`` (see :func:`_slice_total`), a fresh dict if none
+    is given.
     """
+    evaluators = {} if evaluators is None else evaluators
     slice_count = shared[-1]
     tasks = [(weights, index) for weights in candidates for index in range(slice_count)]
     if pool is None:
