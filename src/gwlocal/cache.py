@@ -72,11 +72,11 @@ class ResultCache:
     """Reads and writes :class:`CacheRecord` documents under one directory,
     keyed by query and :data:`~gwlocal.localization.ENGINE_VERSION`.  The
     directory is ``directory``, or :func:`resolve_cache_dir`'s choice when
-    it is None or empty."""
+    it is None or empty; the first :meth:`put` creates it, and until then,
+    or if it cannot be created, every :meth:`get` is a miss."""
 
     def __init__(self, directory=None):
         self.directory = resolve_cache_dir(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
 
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.json"
@@ -119,9 +119,10 @@ class ResultCache:
 
     def put(self, query: dict, result) -> None:
         """Store ``result``, an :class:`~gwlocal.localization.EngineResult`,
-        for ``query``.  A store that fails with an ``OSError`` writes a note
-        naming the file to stderr and leaves no temporary file behind; the
-        caller keeps its value."""
+        for ``query``, creating the cache directory if it is missing.  A
+        store that fails with an ``OSError``, the directory's creation
+        included, writes a note naming the file to stderr and leaves no
+        temporary file behind; the caller keeps its value."""
         from datetime import datetime, timezone
 
         record = CacheRecord(
@@ -136,6 +137,7 @@ class ResultCache:
         path = self.path_for(record.key)
         tmp_name = None
         try:
+            self.directory.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="ascii") as handle:
                 handle.write(self._payload(record))

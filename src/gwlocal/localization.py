@@ -32,30 +32,33 @@ Both sums read one set of per-label integer tables, and every denominator
 in them is fixed per label.  A flag of degree ``de`` at a vertex labelled
 ``i`` towards label ``j`` is the integer ``de * T_i / (p_i - p_j)`` over
 the tangent product ``T_i``, so the reciprocal flag sum at the vertex is a
-small integer over ``T_i``, and its vertex factor is that integer's power
-times ``T_i^2 / B_i^(val-1)``, ``B_i`` the hypersurface base.  In the class
-sum each mark's vertex sum is an integer over ``L = lcm(T_0, ..., T_n)``;
-the marks' common denominator ``L^k`` is the same for every class, so the
-class sum adds a slice's integer terms over the running lcm of their
-denominators and makes one ``Fraction`` per slice, divided by ``L^k``.
+small integer over ``T_i``.  The vertex factor is that integer's power
+times ``T_i^2 / B_i^(val-1)``, ``B_i`` the hypersurface base, and on a tree
+the bases ``B_v^val`` multiply to the product of ``B_i * B_j`` over the
+edges; so each vertex carries the per-label constant ``T_i^2 * B_i`` and
+each edge factor divides by its ends' ``B_i * B_j``.  In the class sum each
+mark's vertex sum is an integer over ``L = lcm(T_0, ..., T_n)``; the marks'
+common denominator ``L^k`` is the same for every class, so the class sum
+adds a slice's integer terms over the running lcm of their denominators
+and makes one ``Fraction`` per slice, divided by ``L^k``.
 
-These tables depend on the weight vector, the hypersurface degrees and the
-insertions, but not on the curve degree, so they outlive a call.  The
-calling process keeps the evaluators of the last :func:`sum_invariant`
-call that evaluated there, and the next call reuses those of its first
-vectors, the ones its seeds draw at attempt 0: a loop over degrees at the
-same seeds builds each first vector's tables once.  The call decides this
-before it evaluates anything and drops every other kept evaluator, so at
-most one call's tables are held, until the next call starts; a vector the
-call reaches by resampling is built afresh, even if the last call reached
-it too.  A call that opens a pool evaluates nothing itself and keeps none,
-and its workers build their own per task.
+No table depends on the curve degree: each depends on the weight vector,
+the hypersurface degrees and the insertions alone, so it outlives a call.
+The calling process keeps the evaluators the last :func:`sum_invariant`
+call used, and the next call looks up every vector it evaluates among
+them, its first vectors and those it reaches by resampling alike: a loop
+over degrees at the same seeds builds each distinct vector's tables once.
+When the call returns it keeps exactly the evaluators it used and releases
+the others, so at most the last call's tables are held between calls, and
+during a call those and the call's own.  A call that opens a pool
+evaluates nothing itself and keeps none, and its workers build their own
+per task.
 """
 
 from __future__ import annotations
 
 import random
-from _thread import allocate_lock
+from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -67,6 +70,7 @@ from .targets import (
     DimensionQuery,
     InputError,
     WeightVector,
+    _is_integer,
     expected_dimension,
     positivity_check,
 )
@@ -94,14 +98,10 @@ WEIGHT_BOUND = 10_000
 
 _MAX_RESAMPLE = 64
 
-# the evaluators of the last sum_invariant call that evaluated in this
-# process, keyed by _evaluator_key; the next call keeps the ones it draws
-# first and drops the rest before it evaluates anything
+# the evaluators the last sum_invariant call in this process used, keyed as
+# _slice_total looks them up; the next call looks up every vector it
+# evaluates here and, when it returns, keeps exactly the ones it used
 _evaluators = {}
-
-# serialises the growth of an evaluator's vertex table, so that the table
-# only grows when concurrent calls share the evaluator
-_growth = allocate_lock()
 
 
 class DegenerateWeights(ArithmeticError):
@@ -169,26 +169,27 @@ class _Evaluator:
 
     Edge factors recur across trees, so each one, whole, is memoized as an
     integer numerator and denominator, with the edge's two integer flags,
-    under both orders of its (label, label, degree).  Everything else both
-    sums need per label is one family of integer tables, computed once:
-    the cofactors ``T_i / (p_i - p_j)``, with ``T_i`` the tangent product,
-    that put every reciprocal flag sum over ``T_i``, the fixed parts
-    ``T_i^2`` and ``B_i^(val-1)`` of the vertex factors, and each insertion
-    power's mark coefficients over the common denominator ``L``, the lcm of
-    the ``T_i``.  :meth:`classes_total` sums a slice of unmarked trees,
-    dividing by the marks' ``L^k`` once; :meth:`shape_value` sums every
-    labelling of one shape from the same edge memo and tables, and shares
-    the tables of equal subtrees across shapes.
+    under both orders of its (label, label, degree); it carries the
+    division by its ends' hypersurface bases ``B_i * B_j`` that the vertex
+    factors ``T_i^2 R_v^(val-3) / B_i^(val-1)`` would otherwise make.
+    Everything else both sums need per label is one family of integer
+    tables, computed once: the cofactors ``T_i / (p_i - p_j)``, with ``T_i``
+    the tangent product, that put every reciprocal flag sum over ``T_i``,
+    the vertex constants ``T_i^2 * B_i``, and each insertion power's mark
+    coefficients over the common denominator ``L``, the lcm of the
+    ``T_i``.  :meth:`classes_total` sums a slice of unmarked trees, dividing
+    by the marks' ``L^k`` once; :meth:`shape_value` sums every labelling of
+    one shape from the same edge memo and tables, and shares the tables of
+    equal subtrees across shapes.
 
-    None of these tables depends on the curve degree except the vertex
-    parts, which cover valences up to it and grow through :meth:`reach`.
-    So one instance serves every curve degree at its weights, hypersurface
-    degrees and insertions: the calling process keeps the instances its
-    last :func:`sum_invariant` call evaluated with and lends each to the
-    next call that draws its vector first, at attempt 0 (see the module
-    docstring), while a pool worker builds one per task.  Concurrent calls that share an
-    instance stay exact: its memos only gain entries, each holding the one
-    value its key determines, and its vertex table only grows.
+    Nothing an instance holds depends on the curve degree, so one instance
+    serves every curve degree at its weights, hypersurface degrees and
+    insertions: the calling process keeps the instances the last
+    :func:`sum_invariant` call used and lends each to the next call that
+    evaluates its vector (see the module docstring), while a pool worker
+    builds one per task.  Concurrent calls that share an instance stay
+    exact without a lock: its tables are fixed once built, and its memos
+    only gain entries, each holding the one value its key determines.
     """
 
     def __init__(self, weights: WeightVector, target: CITarget):
@@ -198,21 +199,21 @@ class _Evaluator:
         scale = lcm(*(w.denominator for w in lam))
         self.p = tuple(w.numerator * (scale // w.denominator) for w in lam)
         self.degrees = target.degrees
-        # per label: the tangent product T_i = prod_{k != i} (p_i - p_k) and
-        # B_i = prod_a a * p_i, the bases of the vertex factors
+        # per label: the tangent product T_i = prod_{k != i} (p_i - p_k), and
+        # T_i^2 * B_i, with B_i = prod_a a * p_i the hypersurface base, the
+        # part of the vertex factor fixed by the label alone
         tangent = tuple(
             prod(pi - pk for k, pk in enumerate(self.p) if k != i) for i, pi in enumerate(self.p)
         )
-        bundle_vertex = tuple(prod(a * pi for a in target.degrees) for pi in self.p)
+        self._vertex = tuple(
+            ti * ti * prod(a * pi for a in target.degrees) for pi, ti in zip(self.p, tangent)
+        )
         # [i][j]: the cofactor T_i / (p_i - p_j), an integer; a flag of degree
         # de at label i towards label j has reciprocal weight de * [i][j] / T_i
         self._cofactor = tuple(
             tuple(ti // (pi - pj) if i != j else 0 for j, pj in enumerate(self.p))
             for i, (pi, ti) in enumerate(zip(self.p, tangent))
         )
-        self._bases = tuple(zip(tangent, bundle_vertex))
-        self._vertex_parts = ((),) * len(self._bases)
-        self.reach(target.curve_degree)
         # per distinct insertion power w: p_i^w * L / T_i per label, and the
         # number of marks of that power; L^k is the marks' common denominator
         common = lcm(*tangent)
@@ -226,25 +227,17 @@ class _Evaluator:
         self._edges = {}
         self._branch_tables = {}
 
-    def reach(self, d):
-        """Extend the vertex parts to the valences of trees of degree ``d``."""
-        # [i][val - 1]: T_i^2 and B_i^(val-1), the parts of the vertex factor
-        # fixed by label and valence; a tree of degree d has at most d edges,
-        # so 1 <= val <= d.  A shorter table is never put back
-        with _growth:
-            if d > len(self._vertex_parts[0]):
-                self._vertex_parts = tuple(
-                    tuple((t * t, b**e) for e in range(d)) for t, b in self._bases
-                )
-
     def _edge(self, i, j, de):
         # (flag_i, flag_j, num, den) for an edge of degree de from label i to
         # label j: the integers de * cof[i][j] and de * cof[j][i], its ends'
         # reciprocal flag weights over T_i and T_j, and the edge factor
         # num / den: -de / (p_i - p_j)^2, the division by both flag weights
-        # with one de of the symmetry divisor, times prod_a bundle * normal,
-        # the hypersurface-section weights
-        #   bundle = prod_{c=0..a*de} (c*p_i + (a*de - c)*p_j) / de
+        # with one de of the symmetry divisor, times prod_a bundle * normal
+        # over B_i * B_j, the ends' hypersurface bases that the vertex
+        # factors leave to the edges.  The bases are the c = 0 and c = a*de
+        # factors a * p_j and a * p_i of the hypersurface-section weights,
+        # so what remains of those is
+        #   bundle = prod_{c=1..a*de-1} (c*p_i + (a*de - c)*p_j) / de
         # and the edge block of the inverse normal-bundle euler class
         #   normal = (-1)^de * de^(2de) / ((de!)^2 (p_i - p_j)^(2de))
         #     * prod_{k != i,j} prod_{c=0..de} de / (c*p_i + (de-c)*p_j - de*p_k)
@@ -259,9 +252,9 @@ class _Evaluator:
             den = factorial(de) ** 2 * (pi - pj) ** (2 * de + 2)
             for a in self.degrees:
                 m = a * de
-                for c in range(m + 1):
+                for c in range(1, m):
                     num *= c * pi + (m - c) * pj
-                den *= de ** (m + 1)
+                den *= de ** (m - 1)
             for k, pk in enumerate(self.p):
                 if k == i or k == j:
                     continue
@@ -281,7 +274,8 @@ class _Evaluator:
         # (num, den) with num / den the tree's term, summed over the
         # placements of the marks, times the mark denominator L^k; at a
         # vertex labelled i with flag sum R_v / T_i, num and den carry
-        # T_i^2 * R_v^(val-3) / B_i^(val-1)
+        # T_i^2 * B_i * R_v^(val-3), and the edge factors the rest of the
+        # vertex factor, 1 / B_i per flag
         labels = graph.labels
         nv = len(labels)
         valence = [0] * nv
@@ -298,11 +292,8 @@ class _Evaluator:
             flag[v] += flag_v
             num *= edge_num
             den *= edge_den
-        vertex_parts = self._vertex_parts
         for label, val, r in zip(labels, valence, flag):
-            vertex_num, vertex_den = vertex_parts[label][val - 1]
-            num *= vertex_num
-            den *= vertex_den
+            num *= self._vertex[label]
             if val > 3:
                 num *= r ** (val - 3)
             elif val < 3:
@@ -327,12 +318,13 @@ class _Evaluator:
         ``1/aut``, this equals the sum over marked classes (orbit counting).
         At a vertex labelled ``i`` the reciprocal flag sum is ``R_v / T_i``,
         with ``R_v`` the integer ``sum_f de_f * T_i / (p_i - p_j_f)``, so the
-        vertex factor is ``T_i^2 R_v^(val-3) / B_i^(val-1)`` and a mark's
-        vertex sum of power ``w`` is ``sum_v R_v p_i^w (L / T_i)`` over
-        ``L = lcm(T_0, ..., T_n)``.  The marks' denominator ``L^k`` is the
-        same for every tree, so the trees' integer terms are added over the
-        running lcm of their denominators, one ``gcd`` per tree, and divided
-        by ``L^k`` in the slice's one ``Fraction``.
+        vertex factor is ``T_i^2 R_v^(val-3) / B_i^(val-1)``, its bases
+        carried by the edge factors and ``T_i^2 B_i`` by the vertex, and a
+        mark's vertex sum of power ``w`` is ``sum_v R_v p_i^w (L / T_i)``
+        over ``L = lcm(T_0, ..., T_n)``.  The marks' denominator ``L^k`` is
+        the same for every tree, so the trees' integer terms are added over
+        the running lcm of their denominators, one ``gcd`` per tree, and
+        divided by ``L^k`` in the slice's one ``Fraction``.
         """
         num, den = 0, 1
         for graph in graphs:
@@ -343,17 +335,16 @@ class _Evaluator:
         return Fraction(num, den * self._mark_denominator)
 
     def _vertex_sum(self, label, rest):
-        # the vertex factor T_i^2 (r + sum_f R_f)^(val-3) / B_i^(val-1) of
-        # _class_term at a vertex labelled i, summed over the labels behind
+        # the vertex part T_i^2 B_i (r + sum_f R_f)^(val-3) of _class_term
+        # at a vertex labelled i, summed over the labels behind
         # all of its flags but one, as a function of the integer
         # r = de * cof[i][j] of that remaining flag: rest lists the branches
         # behind the others, and a branch of degree de_f whose root is
         # labelled c has R_f = de_f * cof[i][c]
-        tangent_square, bundle_power = self._vertex_parts[label][len(rest)]
+        scale = self._vertex[label]
         cofactors = self._cofactor[label]
         if not rest:
-            return lambda r: Fraction(tangent_square, r * r)
-        scale = Fraction(tangent_square, bundle_power)
+            return lambda r: Fraction(scale, r * r)
         if len(rest) == 1:
             (branch,) = rest
             de = branch[0]
@@ -408,7 +399,7 @@ class _Evaluator:
     def _branch_table(self, branch):
         # [i][j]: the sum, over the labellings of the branch's subtree whose
         # root is labelled j below a parent labelled i, of its edge factor,
-        # its root's vertex factor and everything below; None on the
+        # its root's vertex part and everything below; None on the
         # diagonal.  Equal branches, in one shape or several, share one table
         table = self._branch_tables.get(branch)
         if table is None:
@@ -441,10 +432,10 @@ class _Evaluator:
         ``aut_order`` (orbit-stabiliser counting).  That sum factors over the
         rooted tree: a branch's table holds, per parent label and own label,
         the sum over its subtree's labellings of its edge factor, its root's
-        vertex factor and everything below it.  Every factor is the one
+        vertex part and everything below it.  Every factor is the one
         :meth:`classes_total` multiplies in, read from the same tables: the
-        memoized edge factors, and the vertex factor
-        ``T_i^2 R_v^(val-3) / B_i^(val-1)`` with ``R_v`` the sum of the
+        memoized edge factors, and the vertex part ``T_i^2 B_i R_v^(val-3)``
+        with ``R_v`` the sum of the
         integer flags ``de * T_i / (p_i - p_j)``.  So a vector degenerates
         here exactly when it degenerates on some class of the shape.
         """
@@ -513,27 +504,21 @@ def _init_worker(shared):
     _worker_shared = shared
 
 
-def _evaluator_key(weights, target):
-    # what an _Evaluator's tables depend on: all of its target but the
-    # curve degree
-    return weights.weights, target.degrees, target.insertions
-
-
 def _slice_total(shared, task, evaluators):
     """Sum over one slice of the items at one weight vector, or ``None`` if
     the vector degenerates on an item of the slice.  Degeneracy is returned
     rather than raised so that one bad vector does not abort a whole map.
 
-    ``evaluators`` maps :func:`_evaluator_key` to the evaluator to reuse,
-    extended to the target's degree, and gains any evaluator built here."""
+    ``evaluators`` maps a weight vector, hypersurface degrees and
+    insertions, all that an :class:`_Evaluator` depends on, to the one to
+    reuse, and the one used here, found or built, is stored in it."""
     term, items, target, slice_count = shared
     weights, index = task
-    key = _evaluator_key(weights, target)
+    key = weights.weights, target.degrees, target.insertions
     evaluator = evaluators.get(key)
     if evaluator is None:
-        evaluator = evaluators[key] = _Evaluator(weights, target)
-    else:
-        evaluator.reach(target.curve_degree)
+        evaluator = _Evaluator(weights, target)
+    evaluators[key] = evaluator
     try:
         return term(evaluator, items[index::slice_count])
     except DegenerateWeights:
@@ -600,11 +585,6 @@ def _totals_at(shared, candidates, pool=None, evaluators=None):
     return totals
 
 
-def _is_integer(value):
-    # an int that is not a bool: True and False are ints to isinstance
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineResult:
     """Genus-zero invariant of ``target`` as an exact rational.
 
@@ -627,14 +607,16 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     seed is resolved.  Exact addition commutes, so the result is identical
     for any worker count.
 
-    A call that evaluates in this process, with no pool, keeps each
-    vector's evaluator (its edge memo and tables, see :class:`_Evaluator`)
-    until the next call starts.  The next call reuses those of its own first
-    vectors, whatever its curve degree, and drops the rest before it
-    evaluates anything; a call that opens a pool drops them all and keeps
-    none.  So a loop over degrees at the same seeds builds each vector's
-    tables once, and values, ``graph_count`` and the vectors drawn are
-    those of a call with nothing kept.
+    A call that evaluates in this process, with no pool, keeps the
+    evaluator (edge memo and tables, see :class:`_Evaluator`) of every
+    vector it evaluated, its first vectors and those it reached by
+    resampling, until the next call returns.  The next call looks up every
+    vector it evaluates among them, whatever its curve degree, and when it
+    returns keeps exactly the evaluators it used, releasing the others; a
+    call that opens a pool uses none and keeps none.  So a loop over degrees
+    at the same seeds builds each distinct vector's tables once, and
+    values, ``graph_count`` and the vectors drawn are those of a call with
+    nothing kept.
 
     Raises :class:`~gwlocal.targets.InputError` if ``jobs`` is not an
     integer of at least 1, a seed is not an integer, fewer than two seeds
@@ -671,13 +653,10 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     # opens for it and serves the resampling walk too
     first = [sample_weights(seed, n) for seed in seeds]
     fresh = {weights.weights: weights for weights in first}
-    # the last call's evaluators of this call's first vectors, if it
-    # evaluates here; every other is dropped before anything is evaluated
-    # or a pool worker forked
+    # the evaluators this call uses, each found among the last call's or
+    # built; they replace the last call's when this one returns
     global _evaluators
-    keys = [_evaluator_key(weights, target) for weights in fresh.values()]
-    kept = {} if slice_count > 1 else _evaluators
-    _evaluators = evaluators = {key: kept[key] for key in keys if key in kept}
+    evaluators = ChainMap({}, _evaluators)
     pool = None
     if slice_count > 1:
         pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(shared,))
@@ -701,6 +680,7 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     finally:
         if pool is not None:
             pool.shutdown()
+        _evaluators = evaluators.maps[0]
     totals = list(accepted.values())
     if any(total != totals[0] for total in totals[1:]):
         raise WeightIndependenceFailure(

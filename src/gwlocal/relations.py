@@ -16,7 +16,7 @@ from importlib import resources
 from math import comb
 from pathlib import Path
 
-from .targets import InputError
+from .targets import InputError, _is_integer
 
 __all__ = [
     "UnsupportedDimension",
@@ -53,7 +53,7 @@ def _cover_sum(table, d, weight, start=1) -> Fraction:
 def _as_table(values, max_degree=None) -> dict:
     table = {}
     for d, v in dict(values).items():
-        if not isinstance(d, int) or isinstance(v, float):
+        if not _is_integer(d) or isinstance(v, float):
             raise InputError(f"need integer degrees and exact values, got {d!r}: {v!r}")
         try:
             table[d] = Fraction(v)
@@ -76,7 +76,7 @@ class BPSTable:
     entries: dict
 
     def __post_init__(self):
-        if self.genus not in (0, 1):
+        if not _is_integer(self.genus) or self.genus not in (0, 1):
             raise InputError("genus must be 0 or 1")
         object.__setattr__(self, "entries", _as_table(self.entries))
 

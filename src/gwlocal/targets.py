@@ -30,6 +30,11 @@ class InputError(ValueError):
     usage errors; any other exception is a bug."""
 
 
+def _is_integer(value):
+    # an int that is not a bool: True and False are ints to isinstance
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CITarget:
     """A degree-``curve_degree`` counting problem for a complete intersection
@@ -52,14 +57,14 @@ class CITarget:
         object.__setattr__(self, "degrees", tuple(self.degrees))
         object.__setattr__(self, "insertions", tuple(self.insertions))
         for power in self.insertions:
-            if not isinstance(power, int) or power < 0:
+            if not _is_integer(power) or power < 0:
                 raise InputError(f"insertion power must be a nonnegative integer, got {power!r}")
         n = self.ambient_dim
-        if not isinstance(n, int) or n < 1:
+        if not _is_integer(n) or n < 1:
             raise InputError("ambient dimension must be a positive integer")
-        if not isinstance(self.curve_degree, int) or self.curve_degree < 1:
+        if not _is_integer(self.curve_degree) or self.curve_degree < 1:
             raise InputError("curve degree must be a positive integer")
-        if not all(isinstance(a, int) for a in self.degrees):
+        if not all(map(_is_integer, self.degrees)):
             raise InputError("hypersurface degrees must be integers")
         if any(a < 0 for a in self.degrees):
             raise InputError("hypersurface degrees must be nonnegative")
@@ -111,7 +116,7 @@ class DimensionQuery:
         fields = [self.genus, self.marks, self.c1_dot_A, self.half_dim]
         if self.bundle_c1_dot_A is not None:
             fields.append(self.bundle_c1_dot_A)
-        if not all(isinstance(value, int) for value in fields):
+        if not all(map(_is_integer, fields)):
             raise InputError("dimension query fields must be integers")
         if self.genus not in (0, 1):
             raise InputError("genus must be 0 or 1")

@@ -271,8 +271,10 @@ class TestCache:
         assert record_path.read_text(encoding="ascii") == record
 
     def test_failed_store_keeps_the_value(self, capsys, cache_dir):
-        # a directory where the record belongs: every store fails with
-        # EISDIR, yet each run prints the computed value and exits 0
+        # every store fails, yet each computing run prints the computed
+        # value and exits 0: first with a directory where the record
+        # belongs (EISDIR), then with a regular file as the cache directory
+        # (EEXIST, from creating the directory)
         query = {
             "kind": "genus0",
             "ambient_dim": 4,
@@ -280,19 +282,30 @@ class TestCache:
             "curve_degree": 1,
             "insertions": [],
         }
-        record_path = Path(cache_dir) / f"{cache_key(query, ENGINE_VERSION)}.json"
+        record_name = f"{cache_key(query, ENGINE_VERSION)}.json"
+        record_path = Path(cache_dir) / record_name
         record_path.mkdir(parents=True)
-        for argv in [
-            ("genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "1"),
-            ("genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "1"),
-            ("table1", "--max-degree", "1"),
-        ]:
-            code, out, err = run(capsys, *argv, "--cache-dir", cache_dir)
-            assert code == 0
-            assert "2875" in out
-            assert f"could not store cache record {record_path}" in err
-            assert "Is a directory" in err
-        assert sorted(path.name for path in Path(cache_dir).iterdir()) == [record_path.name]
+        plain_file = Path(cache_dir).parent / "plain-file"
+        plain_file.write_text("not a directory\n", encoding="ascii")
+        for directory, reason in [(cache_dir, "Is a directory"), (plain_file, "File exists")]:
+            for argv in [
+                ("genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "1"),
+                ("genus0", "--ambient-dim", "4", "--degrees", "5", "--curve-degree", "1"),
+                ("table1", "--max-degree", "1"),
+            ]:
+                code, out, err = run(capsys, *argv, "--cache-dir", str(directory))
+                assert code == 0
+                assert "2875" in out
+                assert f"could not store cache record {Path(directory) / record_name}" in err
+                assert reason in err
+        assert sorted(path.name for path in Path(cache_dir).iterdir()) == [record_name]
+        assert plain_file.read_text(encoding="ascii") == "not a directory\n"
+        # a query that only reads the cache finds nothing there
+        code, out, err = run(
+            capsys, "bps", "--genus", "0", "--max-degree", "1", "--cache-dir", str(plain_file)
+        )
+        assert (code, out) == (1, "")
+        assert "no cached genus-zero" in err
 
     def test_key_depends_on_engine_version(self):
         query = {"kind": "genus0", "ambient_dim": 4}

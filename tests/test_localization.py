@@ -1,6 +1,8 @@
 """Weight sampling, per-tree contributions, and the certified graph sum."""
 
 import gc
+import sys
+import threading
 import weakref
 from fractions import Fraction
 
@@ -250,10 +252,24 @@ class TestDegeneracy:
             sum_invariant(CITarget(2, (), 3, (2,) * 8), seeds=(5, 3), jobs=jobs)
 
 
+def _built(monkeypatch):
+    # the weights of every evaluator built after this
+    real = _Evaluator.__init__
+    built = []
+
+    def counted(self, weights, target):
+        built.append(weights.weights)
+        real(self, weights, target)
+
+    monkeypatch.setattr(_Evaluator, "__init__", counted)
+    return built
+
+
 class TestKeptEvaluators:
-    """The calling process keeps the last serial call's evaluators, one per
-    weight vector, and the next call reuses those it draws again at any
-    curve degree; values, class counts and draws are those of a call with
+    """The calling process keeps the evaluators the last serial call used,
+    one per weight vector, and the next call reuses every one it evaluates
+    again, at any curve degree, whether its seeds draw the vector first or
+    by resampling; values, class counts and draws are those of a call with
     nothing kept."""
 
     @staticmethod
@@ -278,22 +294,15 @@ class TestKeptEvaluators:
         return result.value, result.graph_count, sorted(calls)
 
     def test_degree_loop_builds_each_vector_once(self, monkeypatch):
-        real = _Evaluator.__init__
-        built = []
-
-        def counted(self, weights, target):
-            built.append(weights.weights)
-            real(self, weights, target)
-
-        monkeypatch.setattr(_Evaluator, "__init__", counted)
+        built = _built(monkeypatch)
         localization._evaluators.clear()
         for d in range(1, 5):
             sum_invariant(CITarget(4, (5,), d), seeds=(1, 2, 3))
         assert len(built) == 3
         kept = [weakref.ref(evaluator) for evaluator in localization._evaluators.values()]
         assert len(kept) == 3
-        # a call at other weights drops every kept evaluator before it
-        # builds its own, so at most one call's tables are held
+        # a call at other weights releases every kept evaluator when it
+        # returns, so between calls only the last call's tables are held
         sum_invariant(CITarget(4, (5,), 2), seeds=(4, 5))
         gc.collect()
         assert all(ref() is None for ref in kept)
@@ -301,6 +310,20 @@ class TestKeptEvaluators:
         # a pooled call evaluates nothing here, so it keeps nothing
         sum_invariant(CITarget(4, (5,), 3), seeds=(4, 5), jobs=2)
         assert localization._evaluators == {}
+
+    def test_resampled_vectors_are_built_once(self, monkeypatch):
+        # seeds 27, 75 and 191 resample at several quintic degrees, and the
+        # loop evaluates 7 distinct vectors 35 times over its 6 calls
+        built = _built(monkeypatch)
+        calls = self._recorded(monkeypatch)
+        localization._evaluators.clear()
+        for d in range(1, 7):
+            calls.clear()
+            sum_invariant(CITarget(4, (5,), d), seeds=(27, 75, 191))
+        assert len(built) == len(set(built)) == 7
+        # what is kept is exactly what the last call evaluated
+        drawn = {sample_weights(seed, 4, attempt).weights for seed, attempt in calls}
+        assert {key[0] for key in localization._evaluators} == drawn
 
     @pytest.mark.parametrize("seeds", [(1, 2, 3), (27, 75, 191)])
     def test_reuse_leaves_no_trace(self, monkeypatch, seeds):
@@ -335,6 +358,66 @@ class TestKeptEvaluators:
         assert (result.value, result.graph_count, sorted(calls)) == alone
         kept = list(localization._evaluators.values())
         assert all(evaluator in kept for evaluator in reused)
+
+
+class TestDegreeFreeEvaluators:
+    """Nothing an evaluator holds depends on the curve degree, so one built
+    for any degree serves every other, alone or shared between threads."""
+
+    @pytest.mark.parametrize(
+        "low, high",
+        [
+            (CITarget(4, (5,), 1), CITarget(4, (5,), 5)),
+            (CITarget(2, (), 1, (2,) * 11), CITarget(2, (), 4, (2,) * 11)),
+        ],
+        ids=["shapes", "classes"],
+    )
+    def test_built_at_degree_one(self, low, high):
+        term, items, _count = localization._summands(high)
+        weights = sample_weights(1, high.ambient_dim)
+        value = term(_Evaluator(weights, low), items)
+        assert value == term(_Evaluator(weights, high), items)
+        assert value == {5: 229305888887648, 4: 620}[high.curve_degree]
+
+    def test_concurrent_calls_share_evaluators(self, monkeypatch):
+        # each round's d=1 call leaves the evaluators of seeds 1-3 kept, and
+        # eight threads, two per degree, then fill the same memos at once,
+        # switching threads as often as the interpreter allows; no seed
+        # resamples at d <= 5, so no thread builds an evaluator of its own.
+        # A branch table stored in its memo before it is filled made some
+        # round fail in each of 4 runs of this test
+        isolated = {
+            2: (Fraction(4876875, 8), 60),
+            3: (Fraction(8564575000, 27), 350),
+            4: (Fraction(15517926796875, 64), 2475),
+            5: (229305888887648, 18730),
+        }
+        built = _built(monkeypatch)
+
+        def call(d, copy):
+            result = sum_invariant(CITarget(4, (5,), d), seeds=(1, 2, 3))
+            results[d, copy] = result.value, result.graph_count
+
+        for _round in range(3):
+            localization._evaluators.clear()
+            built.clear()
+            sum_invariant(CITarget(4, (5,), 1), seeds=(1, 2, 3))
+            results = {}
+            threads = [
+                threading.Thread(target=call, args=(d, copy)) for d in isolated for copy in (0, 1)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == {(d, copy): isolated[d] for d in isolated for copy in (0, 1)}
+            assert len(built) == 3
 
 
 class TestCertification:

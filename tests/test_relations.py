@@ -157,6 +157,20 @@ class TestBPSTable:
         with pytest.raises(InputError, match=f"^degree 1: {re.escape(repr(value))} is not"):
             build(value)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: BPSTable(True, {1: 2875}), "genus must be 0 or 1"),
+            (lambda: BPSTable(0, {True: 2875}), "integer degrees"),
+            (lambda: bps0_from_gw0({True: 2875}), "integer degrees"),
+        ],
+        ids=["genus", "degree", "inversion-degree"],
+    )
+    def test_bool_is_not_an_integer(self, build, message):
+        # True == 1, so each of these was read as genus or degree 1
+        with pytest.raises(InputError, match=message):
+            build()
+
     def test_inversion_rejects_a_fractional_degree(self):
         with pytest.raises(ValueError, match="integer degrees"):
             bps0_from_gw0({1: 2875, 2.9: QUINTIC_GW0[2]})

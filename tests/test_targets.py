@@ -95,6 +95,22 @@ class TestCITarget:
         with pytest.raises(ValueError):
             CITarget(4, (5,), 1.0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((True, ()), "ambient dimension"),
+            ((4, (True,)), "hypersurface degrees"),
+            ((4, (5,), True), "curve degree"),
+            ((1, (), 1, (True, True)), "insertion power"),
+        ],
+        ids=["ambient_dim", "degrees", "curve_degree", "insertions"],
+    )
+    def test_bool_fields_rejected(self, args, message):
+        # True is an int to isinstance: CITarget(4, (5,), True) was summed
+        # as the quintic's lines, 2875
+        with pytest.raises(InputError, match=message):
+            CITarget(*args)
+
     def test_degree_zero_constructible(self):
         # needed so the positivity predicate's false branch is reachable
         assert not positivity_check(CITarget(4, (0,), 1))
@@ -196,11 +212,17 @@ class TestExpectedDimension:
             (0, 1, 6, 2.0),
             (0, 1, 6, 2, 1.5),
             (0, 1, Fraction(6), 2),
+            (True, 1, 6, 2),
+            (0, True, 6, 2),
+            (0, 1, False, 2),
+            (0, 1, 6, True),
+            (0, 1, 6, 2, True),
         ],
     )
     def test_non_integer_fields_rejected(self, fields):
-        # unchecked, (0, 1.5, 6, 2) gave the dimension 13.0
-        with pytest.raises(ValueError, match="must be integers"):
+        # unchecked, (0, 1.5, 6, 2) gave the dimension 13.0, and bools are
+        # ints to isinstance
+        with pytest.raises(InputError, match="must be integers"):
             DimensionQuery(*fields)
 
     @given(
