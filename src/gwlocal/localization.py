@@ -42,17 +42,19 @@ common denominator ``L^k`` is the same for every class, so the class sum
 adds a slice's integer terms over the running lcm of their denominators
 and makes one ``Fraction`` per slice, divided by ``L^k``.
 
+A weight vector degenerates when a tree has a vanishing denominator
+factor; :func:`_degenerate` decides that from the weights, before any sum.
+
 No table depends on the curve degree: each depends on the weight vector,
 the hypersurface degrees and the insertions alone, so it outlives a call.
 The calling process keeps the evaluators the last :func:`sum_invariant`
 call used, and the next call looks up every vector it evaluates among
-them, its first vectors and those it reaches by resampling alike: a loop
-over degrees at the same seeds builds each distinct vector's tables once.
-When the call returns it keeps exactly the evaluators it used and releases
-the others, so at most the last call's tables are held between calls, and
-during a call those and the call's own.  A call that opens a pool
-evaluates nothing itself and keeps none, and its workers build their own
-per task.
+them: a loop over degrees at the same seeds builds each distinct vector's
+tables once.  When the call returns it keeps exactly the evaluators it
+used and releases the others, so at most the last call's tables are held
+between calls, and during a call those and the call's own.  A call that
+opens a pool evaluates nothing itself and keeps none, and its workers
+build their own per task.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 
 from .graphs import decorated_shapes, enumerate_graphs
@@ -78,7 +81,6 @@ from .targets import (
 __all__ = [
     "ENGINE_VERSION",
     "WEIGHT_BOUND",
-    "DegenerateWeights",
     "WeightIndependenceFailure",
     "ResamplingExhausted",
     "DimensionMismatch",
@@ -104,19 +106,14 @@ _MAX_RESAMPLE = 64
 _evaluators = {}
 
 
-class DegenerateWeights(ArithmeticError):
-    """A weight specialization made a denominator factor vanish.  Harmless:
-    callers resample from the same seed lineage (seed, attempt + 1)."""
-
-
 class WeightIndependenceFailure(RuntimeError):
     """Totals at distinct seeds disagreed.  This indicates a bug in the
     formulas or the enumeration, never bad user input."""
 
 
 class ResamplingExhausted(RuntimeError):
-    """Every weight vector a seed's lineage offered degenerated, so the graph
-    sum could not be evaluated for that seed."""
+    """Every weight vector a seed's lineage offered degenerated or repeated
+    an earlier seed's, so no sum could be evaluated for that seed."""
 
 
 class DimensionMismatch(InputError):
@@ -135,6 +132,32 @@ def sample_weights(seed: int, n: int, attempt: int = 0) -> WeightVector:
     rng = random.Random(1_000_003 * seed + attempt)
     values = rng.sample(range(1, WEIGHT_BOUND + 1), n + 1)
     return WeightVector(tuple(Fraction(v) for v in values))
+
+
+def _cleared(weights: WeightVector) -> tuple:
+    # the weights times the lcm of their denominators: integers in the
+    # same ratios, 1 the lcm for sampled weights
+    lam = weights.weights
+    scale = lcm(*(w.denominator for w in lam))
+    return tuple(w.numerator * (scale // w.denominator) for w in lam)
+
+
+def _degenerate(weights: WeightVector, d: int) -> bool:
+    """True if a tree of curve degree at most ``d`` has a vanishing
+    denominator factor at ``weights``, in either sum; monotone in ``d``.
+
+    Such a factor involves three fixed points with cleared weights
+    ``a < m < b``: an edge of degree ``de`` from ``a`` to ``b`` meets ``m``
+    when ``c*b + (de - c)*a = de*m`` for some ``0 < c < de``, and the
+    reciprocal flag weights of a valence-2 vertex at ``m`` with flags of
+    degrees ``e_a`` and ``e_b`` towards ``a`` and ``b`` cancel when
+    ``e_a / (m - a) = e_b / (b - m)``.  The least such ``de`` and
+    ``e_a + e_b`` are both ``(b - a) / gcd(m - a, b - m)``, and each such
+    edge and vertex occurs in some tree of every degree at least that.
+    """
+    return any(
+        (b - a) // gcd(m - a, b - m) <= d for a, m, b in combinations(sorted(_cleared(weights)), 3)
+    )
 
 
 def stable_map_dim(n: int, d: int, k: int = 0) -> int:
@@ -156,8 +179,11 @@ def required_insertion_total(target: CITarget) -> int:
 class _Evaluator:
     """Evaluates tree contributions at one concrete weight vector.
 
-    Precondition: the target is balanced, its insertion codimensions totalling
-    :func:`required_insertion_total` (:func:`sum_invariant` enforces this).
+    Preconditions: the target is balanced, its insertion codimensions
+    totalling :func:`required_insertion_total`, and the vector is not
+    :func:`_degenerate` at the degrees of the trees summed
+    (:func:`sum_invariant` enforces both); a degenerate vector's vanishing
+    factor raises ``ZeroDivisionError`` and never yields a value.
     Every tree term of a balanced problem is then homogeneous of degree 0 in
     the weights, so it takes the same value at ``lam`` and at the integer
     vector ``p = L * lam``, with ``L`` the lcm of the weight denominators (1
@@ -195,9 +221,7 @@ class _Evaluator:
     def __init__(self, weights: WeightVector, target: CITarget):
         if weights.ambient_dim != target.ambient_dim:
             raise InputError("weight vector length does not match the ambient dimension")
-        lam = weights.weights
-        scale = lcm(*(w.denominator for w in lam))
-        self.p = tuple(w.numerator * (scale // w.denominator) for w in lam)
+        self.p = _cleared(weights)
         self.degrees = target.degrees
         # per label: the tangent product T_i = prod_{k != i} (p_i - p_k), and
         # T_i^2 * B_i, with B_i = prod_a a * p_i the hypersurface base, the
@@ -256,15 +280,9 @@ class _Evaluator:
                     num *= c * pi + (m - c) * pj
                 den *= de ** (m - 1)
             for k, pk in enumerate(self.p):
-                if k == i or k == j:
-                    continue
-                for c in range(de + 1):
-                    denominator = c * pi + (de - c) * pj - de * pk
-                    if denominator == 0:
-                        raise DegenerateWeights(
-                            f"edge ({i},{j}) of degree {de} met fixed point {k}"
-                        )
-                    den *= denominator
+                if k != i and k != j:
+                    for c in range(de + 1):
+                        den *= c * pi + (de - c) * pj - de * pk
             flag_i, flag_j = de * self._cofactor[i][j], de * self._cofactor[j][i]
             value = self._edges[key] = (flag_i, flag_j, num, den)
             self._edges[j, i, de] = (flag_j, flag_i, num, den)
@@ -297,10 +315,6 @@ class _Evaluator:
             if val > 3:
                 num *= r ** (val - 3)
             elif val < 3:
-                if r == 0:
-                    raise DegenerateWeights(
-                        f"reciprocal flag weights at a vertex labelled {label} summed to zero"
-                    )
                 den *= r ** (3 - val)
         for coefficients, count in self._mark_coefficients:
             num *= sum(r * coefficients[label] for label, r in zip(labels, flag)) ** count
@@ -324,7 +338,9 @@ class _Evaluator:
         over ``L = lcm(T_0, ..., T_n)``.  The marks' denominator ``L^k`` is
         the same for every tree, so the trees' integer terms are added over
         the running lcm of their denominators, one ``gcd`` per tree, and
-        divided by ``L^k`` in the slice's one ``Fraction``.
+        divided by ``L^k`` in the slice's one ``Fraction``.  At a
+        :func:`_degenerate` vector a vanishing factor zeroes that lcm, and
+        the ``Fraction`` raises ``ZeroDivisionError``.
         """
         num, den = 0, 1
         for graph in graphs:
@@ -357,12 +373,7 @@ class _Evaluator:
             def vertex_sum(r):
                 total = Fraction(0)
                 for value, flag in terms:
-                    weight = r + flag
-                    if not weight:
-                        raise DegenerateWeights(
-                            f"reciprocal flag weights at a vertex labelled {label} summed to zero"
-                        )
-                    total += value / weight
+                    total += value / (r + flag)
                 return total
 
             return vertex_sum
@@ -435,9 +446,10 @@ class _Evaluator:
         vertex part and everything below it.  Every factor is the one
         :meth:`classes_total` multiplies in, read from the same tables: the
         memoized edge factors, and the vertex part ``T_i^2 B_i R_v^(val-3)``
-        with ``R_v`` the sum of the
-        integer flags ``de * T_i / (p_i - p_j)``.  So a vector degenerates
-        here exactly when it degenerates on some class of the shape.
+        with ``R_v`` the sum of the integer flags ``de * T_i / (p_i - p_j)``.
+        Every edge and valence-2 vertex of a tree of the shape's degree is
+        evaluated at every labelling, so a vector :func:`_degenerate` at that
+        degree raises ``ZeroDivisionError`` here as in the class sum.
         """
         tree, aut_order, _classes = shape
         # the root's first flag plays the parent flag's part
@@ -505,9 +517,7 @@ def _init_worker(shared):
 
 
 def _slice_total(shared, task, evaluators):
-    """Sum over one slice of the items at one weight vector, or ``None`` if
-    the vector degenerates on an item of the slice.  Degeneracy is returned
-    rather than raised so that one bad vector does not abort a whole map.
+    """Sum over one slice of the items at one weight vector.
 
     ``evaluators`` maps a weight vector, hypersurface degrees and
     insertions, all that an :class:`_Evaluator` depends on, to the one to
@@ -519,10 +529,7 @@ def _slice_total(shared, task, evaluators):
     if evaluator is None:
         evaluator = _Evaluator(weights, target)
     evaluators[key] = evaluator
-    try:
-        return term(evaluator, items[index::slice_count])
-    except DegenerateWeights:
-        return None
+    return term(evaluator, items[index::slice_count])
 
 
 def _pooled_slice_total(task):
@@ -561,8 +568,8 @@ def ProcessPoolExecutor(*args, **kwargs):
 
 def _totals_at(shared, candidates, pool=None, evaluators=None):
     """Totals of the ``(term, items, target, slice_count)`` of ``shared`` at
-    each weight vector in ``candidates``, ``None`` where a vector
-    degenerates.
+    each weight vector in ``candidates``, none of them :func:`_degenerate`
+    at the target's curve degree.
 
     Each candidate is evaluated as ``slice_count`` slices of the items: by
     ``pool``, whose workers got ``shared`` once, through its initializer, so
@@ -578,45 +585,41 @@ def _totals_at(shared, candidates, pool=None, evaluators=None):
         partials = list(map(partial(_slice_total, shared, evaluators=evaluators), tasks))
     else:
         partials = list(pool.map(_pooled_slice_total, tasks))
-    totals = []
-    for start in range(0, len(partials), slice_count):
-        parts = partials[start : start + slice_count]
-        totals.append(None if any(part is None for part in parts) else sum(parts, Fraction(0)))
-    return totals
+    return [
+        sum(partials[start : start + slice_count], Fraction(0))
+        for start in range(0, len(partials), slice_count)
+    ]
 
 
 def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineResult:
     """Genus-zero invariant of ``target`` as an exact rational.
 
-    Lists the terms of the fixed-point sum once, evaluates the sum at the
-    weight vector of each seed (resampling within a seed's lineage if a
-    specialization degenerates), and requires the per-seed totals to agree
+    Lists the terms of the fixed-point sum once, evaluates the sum at one
+    weight vector per seed, and requires the per-seed totals to agree
     exactly; the certified common value is returned.  A target with
     insertions is summed over its tree classes; one without is summed over
     its degree-decorated shapes, each shape's labellings at once, and its
     classes are counted but never listed (see :func:`_summands`).
-    ``graph_count`` is the number of classes either way.  Every seed's first
-    weight vector is evaluated in one batch: with ``jobs > 1`` and at least
-    ``2·jobs`` classes or shapes, it is spread over one pool of worker
-    processes, each vector split into ``jobs`` slices of them.  The pool
-    machinery is imported only when a call opens a pool, so a serial call
-    never loads it.  The seeds are then resolved in order: while a seed's
-    vector degenerates, or repeats the vector an earlier seed accepted, the
-    seed moves to its next attempt, and a vector not yet evaluated is
-    evaluated on its own, by the same pool, which stays open until the last
-    seed is resolved.  Exact addition commutes, so the result is identical
-    for any worker count.
+    ``graph_count`` is the number of classes either way.
+
+    The vectors are chosen first: each seed in order walks its
+    ``(seed, attempt)`` draws from attempt 0, past any that is
+    :func:`_degenerate` at the curve degree or repeats an earlier seed's
+    vector.  They are then evaluated in one batch: with ``jobs > 1`` and at
+    least ``2·jobs`` classes or shapes, by one pool of worker processes in
+    one ``map``, each vector split into ``jobs`` slices of them.  The pool
+    machinery is imported only when a call opens a pool.  Exact addition
+    commutes, so the result is identical for any worker count.
 
     A call that evaluates in this process, with no pool, keeps the
     evaluator (edge memo and tables, see :class:`_Evaluator`) of every
-    vector it evaluated, its first vectors and those it reached by
-    resampling, until the next call returns.  The next call looks up every
-    vector it evaluates among them, whatever its curve degree, and when it
-    returns keeps exactly the evaluators it used, releasing the others; a
-    call that opens a pool uses none and keeps none.  So a loop over degrees
-    at the same seeds builds each distinct vector's tables once, and
-    values, ``graph_count`` and the vectors drawn are those of a call with
-    nothing kept.
+    vector it evaluated until the next call returns.  The next call looks up
+    every vector it evaluates among them, whatever its curve degree, and
+    when it returns keeps exactly the evaluators it used, releasing the
+    others; a call that opens a pool uses none and keeps none.  So a loop
+    over degrees at the same seeds builds each distinct vector's tables
+    once, and values, ``graph_count`` and the vectors drawn are those of a
+    call with nothing kept.
 
     Raises :class:`~gwlocal.targets.InputError` if ``jobs`` is not an
     integer of at least 1, a seed is not an integer, fewer than two seeds
@@ -625,8 +628,9 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     seed);
     :class:`DimensionMismatch` if the insertions do not cut the problem to
     dimension zero, :class:`ResamplingExhausted` if every weight vector a
-    seed offers degenerates (naming the first such seed), and
-    :class:`WeightIndependenceFailure` if the per-seed totals disagree.
+    seed offers degenerates or repeats an earlier seed's (naming the first
+    such seed), and :class:`WeightIndependenceFailure` if the per-seed
+    totals disagree.
     """
     if not _is_integer(jobs) or jobs < 1:
         raise InputError(f"jobs must be a positive integer, got {jobs!r}")
@@ -646,13 +650,20 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
             f"insertion codimensions total {supplied} but the problem needs {needed}"
         )
     term, items, graph_count = _summands(target)
-    n = target.ambient_dim
+    n, d = target.ambient_dim, target.curve_degree
+    chosen = {}  # weights -> vector, in seed order
+    for seed in seeds:
+        for attempt in range(_MAX_RESAMPLE):
+            weights = sample_weights(seed, n, attempt)
+            if weights.weights not in chosen and not _degenerate(weights, d):
+                chosen[weights.weights] = weights
+                break
+        else:
+            raise ResamplingExhausted(
+                f"no admissible weights for seed {seed} after {_MAX_RESAMPLE} attempts"
+            )
     slice_count = jobs if jobs > 1 and len(items) >= 2 * jobs else 1
     shared = (term, items, target, slice_count)
-    # every seed's first vector in one batch; the call's one pool, if any,
-    # opens for it and serves the resampling walk too
-    first = [sample_weights(seed, n) for seed in seeds]
-    fresh = {weights.weights: weights for weights in first}
     # the evaluators this call uses, each found among the last call's or
     # built; they replace the last call's when this one returns
     global _evaluators
@@ -661,27 +672,11 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     if slice_count > 1:
         pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(shared,))
     try:
-        evaluated = dict(zip(fresh, _totals_at(shared, list(fresh.values()), pool, evaluators)))
-        accepted = {}  # weights -> total, in seed order
-        for seed, weights in zip(seeds, first):
-            attempt = 0
-            while evaluated[weights.weights] is None or weights.weights in accepted:
-                attempt += 1
-                if attempt == _MAX_RESAMPLE:
-                    raise ResamplingExhausted(
-                        f"no admissible weights for seed {seed} after {_MAX_RESAMPLE} attempts"
-                    )
-                weights = sample_weights(seed, n, attempt)
-                if weights.weights not in evaluated:
-                    (evaluated[weights.weights],) = _totals_at(
-                        shared, [weights], pool, evaluators
-                    )
-            accepted[weights.weights] = evaluated[weights.weights]
+        totals = _totals_at(shared, list(chosen.values()), pool, evaluators)
     finally:
         if pool is not None:
             pool.shutdown()
         _evaluators = evaluators.maps[0]
-    totals = list(accepted.values())
     if any(total != totals[0] for total in totals[1:]):
         raise WeightIndependenceFailure(
             f"seed totals disagree: {[str(t) for t in totals]} for seeds {seeds}"

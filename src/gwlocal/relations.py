@@ -53,7 +53,7 @@ def _cover_sum(table, d, weight, start=1) -> Fraction:
 def _as_table(values, max_degree=None) -> dict:
     table = {}
     for d, v in dict(values).items():
-        if not _is_integer(d) or isinstance(v, float):
+        if not _is_integer(d) or isinstance(v, (bool, float)):
             raise InputError(f"need integer degrees and exact values, got {d!r}: {v!r}")
         try:
             table[d] = Fraction(v)

@@ -82,7 +82,10 @@ class WeightVector:
     weights: tuple
 
     def __post_init__(self):
-        ws = tuple(Fraction(w) for w in self.weights)
+        ws = tuple(self.weights)
+        if any(isinstance(w, bool) for w in ws):
+            raise InputError(f"weights must be rationals, not bool, got {ws!r}")
+        ws = tuple(map(Fraction, ws))
         object.__setattr__(self, "weights", ws)
         if len(ws) < 2:
             raise InputError("need at least two weights")

@@ -5,14 +5,15 @@ weight vector with ``_Evaluator.classes_total``, which divides the marks'
 common denominator ``L^k`` out once per slice.  Here its totals must equal
 the sum of the original Fraction evaluator over the classes of the original
 canonical-key enumerator, which share no code with it, for one slice and for
-two; a vector must degenerate for one exactly when it degenerates for the
-other.  A slice's running-lcm total must equal the sum of its classes' own
-totals, and each edge's memo entry must read the same from either end.  The
-string and divisor axioms and the plane-points values check the mark sums
-against the geometry, and the space quartics against the Kontsevich-Manin
-recursion.
+two, in pools started by fork, spawn and forkserver; ``_degenerate`` must
+flag a vector exactly when the reference sum degenerates on it.  A slice's
+running-lcm total must equal the sum of its classes' own totals, and each
+edge's memo entry must read the same from either end.  The string and
+divisor axioms and the plane-points values check the mark sums against the
+geometry, and the space quartics against the Kontsevich-Manin recursion.
 """
 
+import multiprocessing
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -22,10 +23,10 @@ import pytest
 
 from gwlocal import CITarget, WeightVector, sample_weights, sum_invariant, wdvv_p2
 from gwlocal import localization
-from gwlocal.localization import DegenerateWeights, _Evaluator, _summands, _totals_at
+from gwlocal.localization import _degenerate, _Evaluator, _summands, _totals_at
 
 import reference_graphs
-from reference_evaluator import ReferenceEvaluator, scaled
+from reference_evaluator import DegenerateWeights, ReferenceEvaluator, scaled
 
 SCALES = (1, Fraction(7, 3), Fraction(1, 97))
 
@@ -46,15 +47,18 @@ def _reference_total(target, weights):
         return None
 
 
-def _class_totals(target, candidates, jobs=1):
+def _class_totals(target, candidates, jobs=1, context=None):
     # each vector in ``jobs`` slices, by a pool of ``jobs`` workers if more
-    # than one
+    # than one, started by the multiprocessing ``context`` if one is given
     term, graphs, _count = _summands(target)
     shared = (term, graphs, target, jobs)
     if jobs == 1:
         return _totals_at(shared, candidates)
     with localization.ProcessPoolExecutor(
-        max_workers=jobs, initializer=localization._init_worker, initargs=(shared,)
+        max_workers=jobs,
+        mp_context=context,
+        initializer=localization._init_worker,
+        initargs=(shared,),
     ) as pool:
         return _totals_at(shared, candidates, pool)
 
@@ -91,22 +95,37 @@ def test_equals_reference_class_sum(target, scale):
     assert total == _reference_total(target, weights)
 
 
+def _admissible(target):
+    # two vectors of the target that sum_invariant could evaluate
+    candidates = [
+        scaled(sample_weights(5, target.ambient_dim), Fraction(7, 3)),
+        sample_weights(6, target.ambient_dim),
+    ]
+    assert not any(_degenerate(weights, target.curve_degree) for weights in candidates)
+    return candidates
+
+
 @pytest.mark.parametrize(
     "target",
     [CITarget(2, (), 3, (2,) * 8), CITarget(3, (), 2, (3, 3, 2, 2, 2, 2))],
     ids=_name,
 )
 def test_two_slices_equal_one(target):
-    # the second vector degenerates (see below), and the pool must report it
-    # as the serial sum does
-    candidates = [
-        scaled(sample_weights(5, target.ambient_dim), Fraction(7, 3)),
-        WeightVector(tuple(range(1, target.ambient_dim + 2))),
-        sample_weights(6, target.ambient_dim),
-    ]
-    serial = _class_totals(target, candidates)
-    assert serial[1] is None and None not in (serial[0], serial[2])
-    assert _class_totals(target, candidates, jobs=2) == serial
+    # (1, 2, ...) degenerates (see below), so sum_invariant never evaluates it
+    assert _degenerate(WeightVector(tuple(range(1, target.ambient_dim + 2))), target.curve_degree)
+    candidates = _admissible(target)
+    assert _class_totals(target, candidates, jobs=2) == _class_totals(target, candidates)
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_two_slices_equal_one_without_fork(method):
+    # workers that inherit nothing get the shared items through the pool's
+    # initializer alone; spawn is the default start method on macOS and
+    # Windows, and forkserver on Linux from Python 3.14
+    target = CITarget(2, (), 3, (2,) * 8)
+    candidates = _admissible(target)
+    context = multiprocessing.get_context(method)
+    assert _class_totals(target, candidates, 2, context) == _class_totals(target, candidates)
 
 
 @pytest.mark.parametrize(
@@ -128,9 +147,13 @@ def test_two_slices_equal_one(target):
     ),
 )
 def test_degenerates_with_reference_class_sum(target, weights, degenerate):
-    (total,) = _class_totals(target, [weights])
-    assert (total is None) == degenerate
-    assert total == _reference_total(target, weights)
+    reference = _reference_total(target, weights)
+    assert _degenerate(weights, target.curve_degree) == degenerate == (reference is None)
+    if not degenerate:
+        assert _class_totals(target, [weights]) == [reference]
+    else:
+        with pytest.raises(ZeroDivisionError):
+            _class_totals(target, [weights])
 
 
 class TestSliceSum:

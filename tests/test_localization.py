@@ -5,6 +5,7 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -21,7 +22,7 @@ from gwlocal import (
 )
 from gwlocal import localization
 from gwlocal.localization import (
-    DegenerateWeights,
+    _degenerate,
     _Evaluator,
     required_insertion_total,
     stable_map_dim,
@@ -29,7 +30,7 @@ from gwlocal.localization import (
 from gwlocal.targets import InputError
 
 import reference_graphs
-from reference_evaluator import ReferenceEvaluator, permuted, scaled
+from reference_evaluator import DegenerateWeights, ReferenceEvaluator, permuted, scaled
 
 
 class TestSampleWeights:
@@ -151,9 +152,9 @@ class TestMarkedVersusFactored:
 
 class TestCovariance:
     def _total(self, target, weights):
+        assert not _degenerate(weights, target.curve_degree), "weights degenerate"
         term, items, _count = localization._summands(target)
         (total,) = localization._totals_at((term, items, target, 1), [weights])
-        assert total is not None, "weights degenerated"
         return total
 
     def test_scaling_leaves_total_fixed(self):
@@ -167,14 +168,76 @@ class TestCovariance:
         assert self._total(target, w) == self._total(target, permuted(w, (2, 0, 1)))
 
 
+def _raises(reference, graphs):
+    # whether the reference evaluator raises on one of graphs
+    try:
+        for graph in graphs:
+            reference.summed_value(graph)
+    except DegenerateWeights:
+        return True
+    return False
+
+
 class TestDegeneracy:
     def test_meeting_a_third_fixed_point_raises(self):
         # degree-2 edge between labels 0 and 2 at weights (1,2,3):
-        # the c=1 factor is 1 + 3 - 2*2 = 0
+        # the c=1 factor is 1 + 3 - 2*2 = 0, and no degree-1 edge meets a
+        # fixed point
         graph = FixedGraph((0, 2), ((0, 1, 2),), 1)
         w = WeightVector((1, 2, 3))
-        with pytest.raises(DegenerateWeights):
+        assert _degenerate(w, 2) and not _degenerate(w, 1)
+        # the kernel's vanishing factor never yields a value
+        with pytest.raises(ZeroDivisionError):
             _Evaluator(w, CITarget(2, (), 2)).classes_total((graph,))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_predicate_matches_reference(self, n):
+        # every vector of n + 1 distinct integers from 1..7, at every scale:
+        # _degenerate flags it at degree d exactly when the reference
+        # evaluator raises on some class of degree d.  Its outcome does not
+        # depend on the scale or the hypersurface, so each vector runs the
+        # reference at one scale, with or without a hypersurface, in turn
+        classes = {d: tuple(reference_graphs.classes(n, d, 0)) for d in range(1, 5)}
+        scales = (1, Fraction(7, 3), Fraction(1, 97))
+        turns = [(scale, degrees) for scale in scales for degrees in ((), (2,))]
+        for i, values in enumerate(combinations(range(1, 8), n + 1)):
+            scale, degrees = turns[i % len(turns)]
+            weights = scaled(WeightVector(values), scale)
+            reference = ReferenceEvaluator(weights, CITarget(n, degrees, 1))
+            for d, graphs in classes.items():
+                raises = _raises(reference, graphs)
+                for other in scales:
+                    assert _degenerate(scaled(weights, other / scale), d) == raises, (values, d)
+
+    def test_draws_pinned(self, monkeypatch):
+        # on the quintic at d=2 and d=3, every seed triple (s, s+1, s+2) for
+        # s = 1, 4, ..., 298 draws only each seed's first vector but these
+        # six, whose draws are those of an engine that found degeneracy by
+        # evaluating each drawn vector
+        resampled = {
+            (2, 25): [(25, 0), (26, 0), (27, 0), (27, 1)],
+            (2, 190): [(190, 0), (191, 0), (191, 1), (192, 0)],
+            (3, 25): [(25, 0), (26, 0), (27, 0), (27, 1)],
+            (3, 73): [(73, 0), (74, 0), (75, 0), (75, 1)],
+            (3, 190): [(190, 0), (191, 0), (191, 1), (192, 0)],
+            (3, 202): [(202, 0), (203, 0), (203, 1), (204, 0)],
+        }
+        values = {2: Fraction(4876875, 8), 3: Fraction(8564575000, 27)}
+        real = localization.sample_weights
+        calls = []
+
+        def recorded(seed, n, attempt=0):
+            calls.append((seed, attempt))
+            return real(seed, n, attempt)
+
+        monkeypatch.setattr(localization, "sample_weights", recorded)
+        for d in (2, 3):
+            for s in range(1, 299, 3):
+                calls.clear()
+                seeds = (s, s + 1, s + 2)
+                assert sum_invariant(CITarget(4, (5,), d), seeds=seeds).value == values[d]
+                first = [(seed, 0) for seed in seeds]
+                assert sorted(calls) == resampled.get((d, s), first), (d, s)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_engine_retries_within_seed_lineage(self, monkeypatch, jobs):
@@ -235,7 +298,7 @@ class TestDegeneracy:
         result = sum_invariant(CITarget(4, (5,), 4), seeds=(27, 75, 191), jobs=jobs)
         assert result.value == Fraction(15517926796875, 64)
         assert sorted(calls) == [(27, 0), (27, 1), (27, 2), (75, 0), (75, 1), (191, 0), (191, 1)]
-        # one pool serves the first batch and all four resampled vectors
+        # the three vectors taken are evaluated in one batch, by one pool
         assert len(pools) == (jobs > 1)
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -313,17 +376,23 @@ class TestKeptEvaluators:
 
     def test_resampled_vectors_are_built_once(self, monkeypatch):
         # seeds 27, 75 and 191 resample at several quintic degrees, and the
-        # loop evaluates 7 distinct vectors 35 times over its 6 calls
+        # loop evaluates 7 distinct vectors over its 6 calls
         built = _built(monkeypatch)
         calls = self._recorded(monkeypatch)
         localization._evaluators.clear()
+        seeds = (27, 75, 191)
         for d in range(1, 7):
             calls.clear()
-            sum_invariant(CITarget(4, (5,), d), seeds=(27, 75, 191))
+            sum_invariant(CITarget(4, (5,), d), seeds=seeds)
         assert len(built) == len(set(built)) == 7
-        # what is kept is exactly what the last call evaluated
-        drawn = {sample_weights(seed, 4, attempt).weights for seed, attempt in calls}
-        assert {key[0] for key in localization._evaluators} == drawn
+        # what is kept is exactly what the last call evaluated: each seed's
+        # last draw, not the degenerate ones before it
+        taken = {
+            sample_weights(seed, 4, max(a for s, a in calls if s == seed)).weights
+            for seed in seeds
+        }
+        assert {key[0] for key in localization._evaluators} == taken
+        assert len(taken) < len(calls)
 
     @pytest.mark.parametrize("seeds", [(1, 2, 3), (27, 75, 191)])
     def test_reuse_leaves_no_trace(self, monkeypatch, seeds):
@@ -352,12 +421,14 @@ class TestKeptEvaluators:
         alone = self._isolated(high, seeds, calls)
         assert alone[2] == [(75, 0), (75, 1), (203, 0), (203, 1)]
         assert self._isolated(low, seeds, calls)[2] == [(75, 0), (203, 0)]
-        reused = list(localization._evaluators.values())
+        reused = [weakref.ref(evaluator) for evaluator in localization._evaluators.values()]
+        assert len(reused) == 2
         calls.clear()
         result = sum_invariant(high, seeds=seeds)
         assert (result.value, result.graph_count, sorted(calls)) == alone
-        kept = list(localization._evaluators.values())
-        assert all(evaluator in kept for evaluator in reused)
+        # the d=3 call evaluates neither vector, so it releases both
+        gc.collect()
+        assert all(ref() is None for ref in reused)
 
 
 class TestDegreeFreeEvaluators:

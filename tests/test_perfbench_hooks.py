@@ -3,9 +3,10 @@
 ``perfbench/tracing.py`` records spans by rebinding names in ``localization``,
 ``cache`` and ``cli``.  A rename in the package would break it silently
 until the long ``perfbench/run.py --self-test``; this runs the tracer on one
-query by shape and one by class, serially and through the pool, and checks
-that a pooled call starts one pool, that only the class sum enumerates
-classes, and that weights are sampled outside the pool.
+query by shape and one by class, serially and through the pool, and one
+pooled query whose seeds resample, and checks that a pooled call starts one
+pool, that only the class sum enumerates classes, and that weights are
+sampled outside the pool, resampled ones too.
 """
 
 import sys
@@ -41,10 +42,10 @@ def test_tracer_records_engine_spans(monkeypatch):
     tracer = tracing.Tracer()
     tracing.instrument(tracer)
 
-    def call(target, value, jobs):
+    def call(target, value, jobs, seeds=(1, 2)):
         # the spans one call records
         before = len(tracer.spans)
-        result = localization.sum_invariant(target, seeds=(1, 2), jobs=jobs)
+        result = localization.sum_invariant(target, seeds=seeds, jobs=jobs)
         assert result.value == value
         return tracer.spans[before:]
 
@@ -64,6 +65,13 @@ def test_tracer_records_engine_spans(monkeypatch):
     spans = call(CITarget(2, (), 3, (2,) * 8), 12, 2)
     enumerations = [s for s in spans if s[tracing.NAME] == "graphs.enumerate"]
     assert [s[tracing.ATTRS]["classes"] for s in enumerations] == [39]
+
+    # on the quintic at d=4, seed 27 draws three vectors and seeds 75 and
+    # 191 two each, all before the one pool opens
+    spans = call(CITarget(4, (5,), 4), Fraction(15517926796875, 64), 2, seeds=(27, 75, 191))
+    names = [span[tracing.NAME] for span in spans]
+    assert names.count("localization.sample_weights") == 7
+    assert names.count("localization.pool") == 1
 
     def inside_pool(span):
         while span[tracing.PARENT] is not None:

@@ -171,6 +171,16 @@ class TestBPSTable:
         with pytest.raises(InputError, match=message):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: BPSTable(0, {1: True}), lambda: bps0_from_gw0({1: True})],
+        ids=["table", "inversion"],
+    )
+    def test_bool_is_not_a_value(self, build):
+        # True == 1, so each of these stored the value 1
+        with pytest.raises(InputError, match="exact values, got 1: True"):
+            build()
+
     def test_inversion_rejects_a_fractional_degree(self):
         with pytest.raises(ValueError, match="integer degrees"):
             bps0_from_gw0({1: 2875, 2.9: QUINTIC_GW0[2]})

@@ -4,8 +4,8 @@ For a target without insertions the engine sums each degree-decorated shape
 over all of its labellings at once (``_Evaluator.shape_value``) and never
 lists a tree class.  Here its total at a weight vector must equal the sum of
 the original Fraction evaluator over the classes of the original
-canonical-key enumerator, which share no code with it; and a vector must
-degenerate for one exactly when it degenerates for the other.
+canonical-key enumerator, which share no code with it; and ``_degenerate``
+must flag a vector exactly when the reference sum degenerates on it.
 """
 
 from fractions import Fraction
@@ -14,10 +14,10 @@ from functools import lru_cache
 import pytest
 
 from gwlocal import CITarget, WeightVector, sample_weights
-from gwlocal.localization import DegenerateWeights, _summands, _totals_at
+from gwlocal.localization import _degenerate, _summands, _totals_at
 
 import reference_graphs
-from reference_evaluator import ReferenceEvaluator, scaled
+from reference_evaluator import DegenerateWeights, ReferenceEvaluator, scaled
 
 SCALES = (1, Fraction(7, 3), Fraction(1, 97))
 
@@ -90,6 +90,10 @@ def test_equals_reference_class_sum(target, scale):
     ),
 )
 def test_degenerates_with_reference_class_sum(target, weights, degenerate):
-    total = _shape_total(target, weights)
-    assert (total is None) == degenerate
-    assert total == _reference_total(target, weights)
+    reference = _reference_total(target, weights)
+    assert _degenerate(weights, target.curve_degree) == degenerate == (reference is None)
+    if not degenerate:
+        assert _shape_total(target, weights) == reference
+    else:
+        with pytest.raises(ZeroDivisionError):
+            _shape_total(target, weights)

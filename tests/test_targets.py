@@ -134,6 +134,11 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector((Fraction(-1, 2), 1, 2))
 
+    def test_rejects_bool(self):
+        # True == 1, so this was read as the weights (1, 2, 3)
+        with pytest.raises(InputError, match="not bool"):
+            WeightVector((True, 2, 3))
+
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
             WeightVector((1,))
