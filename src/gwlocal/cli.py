@@ -7,18 +7,20 @@ accepts ``--format {text,json,csv}``, ``--jobs``, ``--cache-dir``, ``--seed``
 and ``--quiet``.
 
 Exit codes: 0 success; 1 bad flags, or an ``InputError`` or ``OSError``
-from a command; 2 dimension mismatch; 3 engine failure (weight-independence
-violation or resampling exhaustion).  A cache record that cannot be read or
-stored is not an error: a note goes to stderr and the command goes on with
-the computed value.  :func:`main` is the one place that maps exceptions to
-exit codes and prints them; any other exception is a bug and propagates as a
-traceback.
+from a command, or a reader that closed standard output before all of it
+was written, which prints nothing more; 2 dimension mismatch; 3 engine
+failure (weight-independence violation or resampling exhaustion).  A cache
+record that cannot be read or stored is not an error: a note goes to stderr
+and the command goes on with the computed value.  :func:`main` is the one
+place that maps exceptions to exit codes and prints them; any other
+exception is a bug and propagates as a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import astuple, fields
 from fractions import Fraction
@@ -305,7 +307,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what stdout still buffers goes to the null device, so the flush at
+        # interpreter exit cannot fail again (see the signal module's docs)
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_USAGE
     except DimensionMismatch as exc:
         print(f"gwlocal: dimension mismatch: {exc}", file=sys.stderr)
         return EXIT_DIMENSION

@@ -28,7 +28,7 @@ from functools import cache
 from itertools import combinations, combinations_with_replacement, groupby
 from math import comb, factorial
 
-from .targets import InputError
+from .targets import InputError, _is_integer
 
 __all__ = ["FixedGraph", "enumerate_graphs", "decorated_shapes"]
 
@@ -101,6 +101,13 @@ def _shapes(d):
     return tuple(shapes)
 
 
+def _checked_shapes(n, d):
+    # _shapes(d), for the public generators once their n and d are checked
+    if not (_is_integer(n) and _is_integer(d)) or n < 1 or d < 1:
+        raise InputError(f"need integers n >= 1, d >= 1, got {n!r}, {d!r}")
+    return _shapes(d)
+
+
 def decorated_shapes(n: int, d: int):
     """Yield ``(shape, aut_order, classes)`` for every degree-decorated shape
     of degree ``d``: an unlabeled tree with edge degrees summing to ``d``, up
@@ -129,9 +136,6 @@ def decorated_shapes(n: int, d: int):
         >>> [(shape, aut) for shape, aut, _classes in decorated_shapes(4, 2)]
         [(((1, ()), (1, ())), 2), (((2, ()),), 2)]
     """
-    if n < 1 or d < 1:
-        raise InputError("need n >= 1, d >= 1")
-
     @cache
     def symmetries(shape):
         # (automorphisms fixing the root, classes with the root label given)
@@ -143,7 +147,7 @@ def decorated_shapes(n: int, d: int):
             classes *= comb(n * below_classes + m - 1, m)
         return aut, classes
 
-    for shape in _shapes(d):
+    for shape in _checked_shapes(n, d):
         aut, classes = symmetries(shape)
         classes *= n + 1
         *others, (_degree, last) = shape
@@ -198,8 +202,6 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
         >>> sum(1 for _ in enumerate_graphs(4, 2))
         60
     """
-    if n < 1 or d < 1:
-        raise InputError("need n >= 1, d >= 1")
     if k != 0:
         raise InputError("marked classes are not enumerated: need k = 0")
 
@@ -225,7 +227,7 @@ def enumerate_graphs(n: int, d: int, k: int = 0):
             ]
         return built
 
-    for shape in _shapes(d):
+    for shape in _checked_shapes(n, d):
         edges = _preorder_edges(shape)
         *others, (_degree, last) = shape
         if tuple(others) == last:

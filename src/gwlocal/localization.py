@@ -45,25 +45,24 @@ and makes one ``Fraction`` per slice, divided by ``L^k``.
 A weight vector degenerates when a tree has a vanishing denominator
 factor; :func:`_degenerate` decides that from the weights, before any sum.
 
-No table depends on the curve degree: each depends on the weight vector,
-the hypersurface degrees and the insertions alone, so it outlives a call.
-The calling process keeps the evaluators the last :func:`sum_invariant`
-call used, and the next call looks up every vector it evaluates among
-them: a loop over degrees at the same seeds builds each distinct vector's
-tables once.  When the call returns it keeps exactly the evaluators it
-used and releases the others, so at most the last call's tables are held
-between calls, and during a call those and the call's own.  A call that
-opens a pool evaluates nothing itself and keeps none, and its workers
-build their own per task.
+No table depends on the curve degree: an :class:`_Evaluator` is built from
+the weight vector, the hypersurface degrees and the insertions alone, and
+those three are the key under which :func:`_slice_total` looks it up in one
+``functools.lru_cache`` of ``_KEPT`` entries.  Each process keeps the
+``_KEPT`` evaluators it used most recently: the calling process those of its
+serial calls and their threads, and each pool worker its own, for the life
+of the pool (a forked worker starts from a copy of the caller's).  So a loop
+over degrees at the same seeds builds each distinct vector's tables once,
+and values and draws are those of a call with nothing kept.  At the bound,
+eight quintic d=8 evaluators hold 3.5 MB (``tracemalloc``, Python 3.11).
 """
 
 from __future__ import annotations
 
 import random
-from collections import ChainMap
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from math import comb, factorial, gcd, lcm, prod
 
@@ -100,10 +99,9 @@ WEIGHT_BOUND = 10_000
 
 _MAX_RESAMPLE = 64
 
-# the evaluators the last sum_invariant call in this process used, keyed as
-# _slice_total looks them up; the next call looks up every vector it
-# evaluates here and, when it returns, keeps exactly the ones it used
-_evaluators = {}
+# evaluators kept per process; at least the 7 distinct vectors that a
+# quintic degree loop to d=6 at seeds 27, 75 and 191 takes
+_KEPT = 8
 
 
 class WeightIndependenceFailure(RuntimeError):
@@ -127,8 +125,12 @@ def sample_weights(seed: int, n: int, attempt: int = 0) -> WeightVector:
     Draws ``n + 1`` pairwise-distinct integers from ``1..WEIGHT_BOUND`` with
     the stdlib generator seeded by ``(seed, attempt)``; the same pair always
     yields the same vector.  Bump ``attempt`` to stay in the same lineage
-    while avoiding a degenerate specialization.
+    while avoiding a degenerate specialization.  Raises
+    :class:`~gwlocal.targets.InputError` unless all three are integers, not
+    ``bool``.
     """
+    if not all(map(_is_integer, (seed, n, attempt))):
+        raise InputError(f"seed, n and attempt must be integers, got {seed!r}, {n!r}, {attempt!r}")
     rng = random.Random(1_000_003 * seed + attempt)
     values = rng.sample(range(1, WEIGHT_BOUND + 1), n + 1)
     return WeightVector(tuple(Fraction(v) for v in values))
@@ -208,21 +210,16 @@ class _Evaluator:
     one shape from the same edge memo and tables, and shares the tables of
     equal subtrees across shapes.
 
-    Nothing an instance holds depends on the curve degree, so one instance
-    serves every curve degree at its weights, hypersurface degrees and
-    insertions: the calling process keeps the instances the last
-    :func:`sum_invariant` call used and lends each to the next call that
-    evaluates its vector (see the module docstring), while a pool worker
-    builds one per task.  Concurrent calls that share an instance stay
-    exact without a lock: its tables are fixed once built, and its memos
-    only gain entries, each holding the one value its key determines.
+    An instance depends on its weights, hypersurface degrees and insertions
+    alone, so one serves every curve degree (see the module docstring).
+    Concurrent calls that share an instance stay exact without a lock: its
+    tables are fixed once built, and its memos only gain entries, each
+    holding the one value its key determines.
     """
 
-    def __init__(self, weights: WeightVector, target: CITarget):
-        if weights.ambient_dim != target.ambient_dim:
-            raise InputError("weight vector length does not match the ambient dimension")
+    def __init__(self, weights: WeightVector, degrees: tuple, insertions: tuple):
         self.p = _cleared(weights)
-        self.degrees = target.degrees
+        self.degrees = degrees
         # per label: the tangent product T_i = prod_{k != i} (p_i - p_k), and
         # T_i^2 * B_i, with B_i = prod_a a * p_i the hypersurface base, the
         # part of the vertex factor fixed by the label alone
@@ -230,7 +227,7 @@ class _Evaluator:
             prod(pi - pk for k, pk in enumerate(self.p) if k != i) for i, pi in enumerate(self.p)
         )
         self._vertex = tuple(
-            ti * ti * prod(a * pi for a in target.degrees) for pi, ti in zip(self.p, tangent)
+            ti * ti * prod(a * pi for a in degrees) for pi, ti in zip(self.p, tangent)
         )
         # [i][j]: the cofactor T_i / (p_i - p_j), an integer; a flag of degree
         # de at label i towards label j has reciprocal weight de * [i][j] / T_i
@@ -242,12 +239,11 @@ class _Evaluator:
         # number of marks of that power; L^k is the marks' common denominator
         common = lcm(*tangent)
         scales = [common // ti for ti in tangent]
-        powers = target.insertions
         self._mark_coefficients = tuple(
-            (tuple(pi**w * si for pi, si in zip(self.p, scales)), powers.count(w))
-            for w in sorted(set(powers))
+            (tuple(pi**w * si for pi, si in zip(self.p, scales)), insertions.count(w))
+            for w in sorted(set(insertions))
         )
-        self._mark_denominator = common ** len(powers)
+        self._mark_denominator = common ** len(insertions)
         self._edges = {}
         self._branch_tables = {}
 
@@ -505,35 +501,30 @@ class EngineResult:
     weight_seeds: tuple
 
 
-# the slice method, its items, the target and the slice count of the call a
-# pool worker serves; set once per worker by the pool's initializer, never in
-# the calling process
-_worker_shared = None
+# "shared": the slice method, its items, the target and the slice count of
+# the call a pool worker serves; set once per worker by the pool's
+# initializer, never in the calling process
+_worker = {}
 
 
 def _init_worker(shared):
-    global _worker_shared
-    _worker_shared = shared
+    _worker["shared"] = shared
 
 
-def _slice_total(shared, task, evaluators):
-    """Sum over one slice of the items at one weight vector.
+_evaluator = lru_cache(maxsize=_KEPT)(_Evaluator)
 
-    ``evaluators`` maps a weight vector, hypersurface degrees and
-    insertions, all that an :class:`_Evaluator` depends on, to the one to
-    reuse, and the one used here, found or built, is stored in it."""
+
+def _slice_total(shared, task):
+    """Sum over one slice of the items at one weight vector, with this
+    process's kept evaluator of it (see the module docstring)."""
     term, items, target, slice_count = shared
     weights, index = task
-    key = weights.weights, target.degrees, target.insertions
-    evaluator = evaluators.get(key)
-    if evaluator is None:
-        evaluator = _Evaluator(weights, target)
-    evaluators[key] = evaluator
+    evaluator = _evaluator(weights, target.degrees, target.insertions)
     return term(evaluator, items[index::slice_count])
 
 
 def _pooled_slice_total(task):
-    return _slice_total(_worker_shared, task, {})
+    return _slice_total(_worker["shared"], task)
 
 
 def _summands(target):
@@ -566,25 +557,24 @@ def ProcessPoolExecutor(*args, **kwargs):
     return ProcessPoolExecutor(*args, **kwargs)
 
 
-def _totals_at(shared, candidates, pool=None, evaluators=None):
+def _totals_at(shared, candidates):
     """Totals of the ``(term, items, target, slice_count)`` of ``shared`` at
     each weight vector in ``candidates``, none of them :func:`_degenerate`
     at the target's curve degree.
 
-    Each candidate is evaluated as ``slice_count`` slices of the items: by
-    ``pool``, whose workers got ``shared`` once, through its initializer, so
-    a task carries only a weight vector and a slice index; or, without a
-    pool, here, through the builtin ``map``, with the evaluators found in or
-    added to ``evaluators`` (see :func:`_slice_total`), a fresh dict if none
-    is given.
+    Each candidate is evaluated as ``slice_count`` slices of the items: with
+    one slice, here, through the builtin ``map``; with more, in one ``map``
+    by a pool of ``slice_count`` worker processes, opened here and shut down
+    before this returns, whose workers got ``shared`` once, through its
+    initializer, so a task carries only a weight vector and a slice index.
     """
-    evaluators = {} if evaluators is None else evaluators
     slice_count = shared[-1]
     tasks = [(weights, index) for weights in candidates for index in range(slice_count)]
-    if pool is None:
-        partials = list(map(partial(_slice_total, shared, evaluators=evaluators), tasks))
+    if slice_count == 1:
+        partials = list(map(partial(_slice_total, shared), tasks))
     else:
-        partials = list(pool.map(_pooled_slice_total, tasks))
+        with ProcessPoolExecutor(slice_count, initializer=_init_worker, initargs=(shared,)) as pool:
+            partials = list(pool.map(_pooled_slice_total, tasks))
     return [
         sum(partials[start : start + slice_count], Fraction(0))
         for start in range(0, len(partials), slice_count)
@@ -609,17 +599,8 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
     least ``2·jobs`` classes or shapes, by one pool of worker processes in
     one ``map``, each vector split into ``jobs`` slices of them.  The pool
     machinery is imported only when a call opens a pool.  Exact addition
-    commutes, so the result is identical for any worker count.
-
-    A call that evaluates in this process, with no pool, keeps the
-    evaluator (edge memo and tables, see :class:`_Evaluator`) of every
-    vector it evaluated until the next call returns.  The next call looks up
-    every vector it evaluates among them, whatever its curve degree, and
-    when it returns keeps exactly the evaluators it used, releasing the
-    others; a call that opens a pool uses none and keeps none.  So a loop
-    over degrees at the same seeds builds each distinct vector's tables
-    once, and values, ``graph_count`` and the vectors drawn are those of a
-    call with nothing kept.
+    commutes, so the result is identical for any worker count, and for any
+    evaluators kept from earlier calls (see the module docstring).
 
     Raises :class:`~gwlocal.targets.InputError` if ``jobs`` is not an
     integer of at least 1, a seed is not an integer, fewer than two seeds
@@ -663,20 +644,7 @@ def sum_invariant(target: CITarget, seeds=(1, 2, 3), jobs: int = 1) -> EngineRes
                 f"no admissible weights for seed {seed} after {_MAX_RESAMPLE} attempts"
             )
     slice_count = jobs if jobs > 1 and len(items) >= 2 * jobs else 1
-    shared = (term, items, target, slice_count)
-    # the evaluators this call uses, each found among the last call's or
-    # built; they replace the last call's when this one returns
-    global _evaluators
-    evaluators = ChainMap({}, _evaluators)
-    pool = None
-    if slice_count > 1:
-        pool = ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(shared,))
-    try:
-        totals = _totals_at(shared, list(chosen.values()), pool, evaluators)
-    finally:
-        if pool is not None:
-            pool.shutdown()
-        _evaluators = evaluators.maps[0]
+    totals = _totals_at((term, items, target, slice_count), list(chosen.values()))
     if any(total != totals[0] for total in totals[1:]):
         raise WeightIndependenceFailure(
             f"seed totals disagree: {[str(t) for t in totals]} for seeds {seeds}"

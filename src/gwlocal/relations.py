@@ -55,6 +55,8 @@ def _as_table(values, max_degree=None) -> dict:
     for d, v in dict(values).items():
         if not _is_integer(d) or isinstance(v, (bool, float)):
             raise InputError(f"need integer degrees and exact values, got {d!r}: {v!r}")
+        if d < 1:
+            raise InputError(f"degree must be at least 1, got {d}")
         try:
             table[d] = Fraction(v)
         except (ValueError, TypeError, ZeroDivisionError):
@@ -173,6 +175,8 @@ def wdvv_p2(max_degree: int) -> dict:
         >>> {d: int(v) for d, v in wdvv_p2(3).items()}
         {1: 1, 2: 1, 3: 12}
     """
+    if not _is_integer(max_degree):
+        raise InputError(f"max degree must be an integer, got {max_degree!r}")
     if max_degree < 1:
         raise InputError("max degree must be at least 1")
     counts = {1: Fraction(1)}
@@ -294,6 +298,8 @@ def reproduce_table1(max_degree, reduced_terms, genus1_gw, genus1_bps, engine) -
     corrected genus-one invariant satisfying both routes is reported; the two
     routes must agree or an :class:`InputError` is raised.
     """
+    if not _is_integer(max_degree):
+        raise InputError(f"max degree must be an integer, got {max_degree!r}")
     if max_degree < 1:
         return []
     reduced_terms = _as_table(reduced_terms, max_degree)

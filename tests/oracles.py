@@ -7,8 +7,9 @@ not circularity.
 
 import heapq
 from fractions import Fraction
-from itertools import product
-from math import factorial
+from functools import lru_cache
+from itertools import groupby, product
+from math import comb, factorial
 
 
 def prufer_trees(num_vertices):
@@ -102,3 +103,72 @@ def forward_gw1(bps0, bps1):
         tail = sum(bps0[d // k] / Fraction(k) for k in divisors)
         out[d] = tail / 12 + sum(bps1[d // k] / Fraction(k) for k in divisors)
     return out
+
+
+def _splits(entries):
+    # (A, B, ways): each way of dealing the distinguishable insertions with
+    # the sorted codimensions ``entries`` into two groups, grouped by the
+    # groups' codimension multisets
+    runs = [(a, len(tuple(run))) for a, run in groupby(entries)]
+    for picks in product(*(range(m + 1) for _a, m in runs)):
+        first = tuple(a for (a, _m), k in zip(runs, picks) for _ in range(k))
+        second = tuple(a for (a, m), k in zip(runs, picks) for _ in range(m - k))
+        ways = 1
+        for (_a, m), k in zip(runs, picks):
+            ways *= comb(m, k)
+        yield first, second, ways
+
+
+def _invariant(r, d, codims):
+    # genus-zero invariant of P^r in degree d >= 0 with one insertion H^a per
+    # entry a of codims, in any order: at d = 0 the classical triple
+    # intersection, which is 1 when three codimensions sum to r and 0 for any
+    # other number of insertions
+    if d == 0:
+        return int(len(codims) == 3 and sum(codims) == r)
+    return kontsevich_manin(r, d, tuple(sorted(codims)))
+
+
+@lru_cache(maxsize=None)
+def kontsevich_manin(r, d, codims):
+    """Number of rational curves of degree ``d >= 1`` in projective
+    ``r``-space, ``r >= 2``, meeting general linear subspaces of the
+    codimensions in the sorted tuple ``codims``: the genus-zero invariant
+    with one insertion ``H^a`` per entry ``a``, from the Kontsevich-Manin
+    recursion (hep-th/9402147; Fulton-Pandharipande, alg-geom/9608011).
+
+    It is 0 unless the codimensions, each at most ``r``, cut the problem to
+    dimension 0: ``sum(a - 1) == (r + 1) * d + r - 3``.  A codimension-0
+    entry makes it 0 (string axiom), a codimension-1 entry is a factor ``d``
+    (divisor axiom), and a line through two points is the base case
+    ``N(r, 1, (r, r)) = 1``; with every entry at least 2 and fewer than
+    three entries no other problem is balanced.  Otherwise, for the three
+    smallest entries ``a <= b <= c`` and the rest ``S``, WDVV for the four
+    classes ``H^(a-1), H, H^b, H^c`` and ``S`` equates the sums over
+    splittings ``d1 + d2 = d``, ``S = A + B`` and the diagonal ``H^e, H^(r-e)``
+    of ``N(d1; a-1, 1, A, e) N(d2; r-e, b, c, B)`` and of
+    ``N(d1; a-1, b, A, e) N(d2; r-e, 1, c, B)``.  The first sum's ``d1 = 0``
+    term is the wanted ``N(d; a, b, c, S)``; every other term has a lower
+    degree, fewer entries once the divisor axiom is applied, or as many
+    entries with the smallest, ``a``, lowered by one, so the recursion ends.
+    """
+    if any(a > r for a in codims) or sum(a - 1 for a in codims) != (r + 1) * d + r - 3:
+        return 0
+    if codims[0] == 0:
+        return 0
+    if codims[0] == 1:
+        return d * kontsevich_manin(r, d, codims[1:])
+    if len(codims) < 3:
+        return int(d == 1 and codims == (r, r))
+    a, b, c, *rest = codims
+    total = 0
+    for d1 in range(d + 1):
+        for first, second, ways in _splits(tuple(rest)):
+            for e in range(r + 1):
+                left = _invariant(r, d1, (a - 1, b, *first, e))
+                if left:
+                    total += ways * left * _invariant(r, d - d1, (r - e, 1, c, *second))
+                left = _invariant(r, d1, (a - 1, 1, *first, e)) if d1 else 0
+                if left:
+                    total -= ways * left * _invariant(r, d - d1, (r - e, b, c, *second))
+    return total

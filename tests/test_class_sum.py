@@ -10,13 +10,14 @@ flag a vector exactly when the reference sum degenerates on it.  A slice's
 running-lcm total must equal the sum of its classes' own totals, and each
 edge's memo entry must read the same from either end.  The string and
 divisor axioms and the plane-points values check the mark sums against the
-geometry, and the space quartics against the Kontsevich-Manin recursion.
+geometry, and every point, line and higher-codimension target of a grid on
+P^2 to P^5 against the Kontsevich-Manin recursion.
 """
 
 import multiprocessing
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import combinations, combinations_with_replacement
 from math import prod
 
 import pytest
@@ -26,6 +27,7 @@ from gwlocal import localization
 from gwlocal.localization import _degenerate, _Evaluator, _summands, _totals_at
 
 import reference_graphs
+from oracles import kontsevich_manin
 from reference_evaluator import DegenerateWeights, ReferenceEvaluator, scaled
 
 SCALES = (1, Fraction(7, 3), Fraction(1, 97))
@@ -51,16 +53,11 @@ def _class_totals(target, candidates, jobs=1, context=None):
     # each vector in ``jobs`` slices, by a pool of ``jobs`` workers if more
     # than one, started by the multiprocessing ``context`` if one is given
     term, graphs, _count = _summands(target)
-    shared = (term, graphs, target, jobs)
-    if jobs == 1:
-        return _totals_at(shared, candidates)
-    with localization.ProcessPoolExecutor(
-        max_workers=jobs,
-        mp_context=context,
-        initializer=localization._init_worker,
-        initargs=(shared,),
-    ) as pool:
-        return _totals_at(shared, candidates, pool)
+    with pytest.MonkeyPatch.context() as patch:
+        if context is not None:
+            pool = partial(localization.ProcessPoolExecutor, mp_context=context)
+            patch.setattr(localization, "ProcessPoolExecutor", pool)
+        return _totals_at((term, graphs, target, jobs), candidates)
 
 
 def _name(target):
@@ -166,7 +163,11 @@ class TestSliceSum:
     )
     def test_slice_total_is_sum_of_class_totals(self, target):
         graphs = _summands(target)[1]
-        evaluator = _Evaluator(scaled(sample_weights(4, target.ambient_dim), Fraction(7, 3)), target)
+        evaluator = _Evaluator(
+            scaled(sample_weights(4, target.ambient_dim), Fraction(7, 3)),
+            target.degrees,
+            target.insertions,
+        )
         # terms with negative denominators exercise the signs of the running lcm
         assert any(evaluator._class_term(graph)[1] < 0 for graph in graphs)
         singles = [evaluator.classes_total((graph,)) for graph in graphs]
@@ -174,13 +175,12 @@ class TestSliceSum:
         assert evaluator.classes_total(graphs[::-1]) == sum(singles)
 
     def test_empty_slice_is_zero(self):
-        target = CITarget(2, (), 3, (2,) * 8)
-        assert _Evaluator(sample_weights(4, 2), target).classes_total(()) == 0
+        assert _Evaluator(sample_weights(4, 2), (), (2,) * 8).classes_total(()) == 0
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["low-first", "high-first"])
     def test_edge_in_both_orders(self, reverse):
         p = sample_weights(4, 4).weights
-        evaluator = _Evaluator(sample_weights(4, 4), CITarget(4, (5,), 3, ()))
+        evaluator = _Evaluator(sample_weights(4, 4), (5,), ())
         tangent = [prod(pi - pk for pk in p if pk != pi) for pi in p]
         for i, j in combinations(range(5), 2):
             if reverse:
@@ -223,12 +223,14 @@ class TestPlanePoints:
         recursion = wdvv_p2(5)
         for d, value in [(4, 620), (5, 87304)]:
             assert sum_invariant(CITarget(2, (), d, (2,) * (3 * d - 1))).value == value
-            assert recursion[d] == value
+            assert recursion[d] == kontsevich_manin(2, d, (2,) * (3 * d - 1)) == value
 
     def test_space_curves_through_lines(self):
         # conics and twisted cubics in P3 meeting 8 and 12 general lines
         assert sum_invariant(CITarget(3, (), 2, (2,) * 8)).value == 92
         assert sum_invariant(CITarget(3, (), 3, (2,) * 12)).value == 80160
+        assert kontsevich_manin(3, 2, (2,) * 8) == 92
+        assert kontsevich_manin(3, 3, (2,) * 12) == 80160
 
     @pytest.mark.parametrize(
         "target, value",
@@ -240,3 +242,36 @@ class TestPlanePoints:
         # Kontsevich-Manin recursion's values (hep-th/9402147)
         result = sum_invariant(target)
         assert (result.value, result.graph_count) == (value, 756)
+        assert kontsevich_manin(3, 4, target.insertions) == value
+
+
+def _balanced_codims(r, d, most):
+    # every multiset of at most ``most`` codimensions from 2 to r that cuts
+    # degree-d curves in P^r to a number
+    need = (r + 1) * d + r - 3
+    for size in range(1, most + 1):
+        for codims in combinations_with_replacement(range(2, r + 1), size):
+            if sum(a - 1 for a in codims) == need:
+                yield codims
+
+
+# every such target with at most 12 insertions on P3 up to d=3 and on P4 and
+# P5 up to d=2 (98 targets), then P2 up to d=6 and P3 at d=4 (15 more)
+KONTSEVICH_MANIN_GRID = [
+    CITarget(r, (), d, codims)
+    for r, degrees, most in [
+        (3, (1, 2, 3), 12),
+        (4, (1, 2), 12),
+        (5, (1, 2), 12),
+        (2, (1, 2, 3, 4, 5, 6), 17),
+        (3, (4,), 16),
+    ]
+    for d in degrees
+    for codims in _balanced_codims(r, d, most)
+]
+
+
+@pytest.mark.parametrize("target", KONTSEVICH_MANIN_GRID, ids=_name)
+def test_matches_kontsevich_manin(target):
+    expected = kontsevich_manin(target.ambient_dim, target.curve_degree, target.insertions)
+    assert sum_invariant(target).value == expected

@@ -518,13 +518,20 @@ class TestErrorBoundary:
             ])
 
 
-def test_module_entry_point(tmp_path):
+def _child_env(tmp_path):
     # The child gets the directory this process imported gwlocal from, so
     # ``-m gwlocal`` finds the same package from a checkout (PYTHONPATH=src)
     # and from an installed package alike. The rest of the env stays minimal.
     package_root = str(Path(gwlocal.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    pythonpath = package_root + (os.pathsep + inherited if inherited else "")
+    return {
+        "PATH": "/usr/bin:/bin",
+        "PYTHONPATH": package_root + (os.pathsep + inherited if inherited else ""),
+        "GW_CACHE_DIR": str(tmp_path / "cache"),
+    }
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [
             sys.executable, "-m", "gwlocal",
@@ -534,12 +541,46 @@ def test_module_entry_point(tmp_path):
         capture_output=True,
         text=True,
         cwd=tmp_path,
-        env={
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": pythonpath,
-            "GW_CACHE_DIR": str(tmp_path / "cache"),
-        },
+        env=_child_env(tmp_path),
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["value"] == {"num": "1", "den": "1"}
+
+
+class TestClosedOutput:
+    """A reader that closes standard output before the command writes to it
+    gets exit 1 and nothing on stderr: no usage error, no exit 120 from the
+    interpreter's last flush."""
+
+    def test_in_process(self, capsys, monkeypatch):
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w") as stdout:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "stdout", stdout)
+                code = main(["wdvv", "--max-degree", "6"])
+        assert (code, capsys.readouterr().err) == (1, "")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_child_process(self, tmp_path, unbuffered):
+        # the pipe's read end is closed before the child starts, so its first
+        # write to stdout fails; with PYTHONUNBUFFERED that write is print's,
+        # and without it main's flush
+        env = _child_env(tmp_path)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "gwlocal", "wdvv", "--max-degree", "6"],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                cwd=tmp_path,
+                env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")

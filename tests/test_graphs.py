@@ -8,6 +8,7 @@ import pytest
 
 from gwlocal import FixedGraph, enumerate_graphs
 from gwlocal.graphs import _preorder_edges, decorated_shapes
+from gwlocal.targets import InputError
 
 from oracles import count_labeled_decorated_trees, orbit_sum
 from reference_graphs import MarkedGraph, adjacency, canonical_form, check, classes
@@ -68,6 +69,14 @@ def test_marked_enumeration_is_refused():
     for k in (1, 2, -1):
         with pytest.raises(ValueError):
             next(enumerate_graphs(2, 3, k))
+
+
+@pytest.mark.parametrize("generator", [enumerate_graphs, decorated_shapes])
+@pytest.mark.parametrize("n, d", [(True, 1), (2.5, 1), (2, True), (2, 2.5), (0, 1), (2, 0)])
+def test_dimension_and_degree_are_positive_integers(generator, n, d):
+    # True == 1 gave the classes of P^1 or of lines, and 2.5 a TypeError
+    with pytest.raises(InputError, match=r"need integers n >= 1, d >= 1"):
+        next(generator(n, d))
 
 
 @pytest.mark.parametrize("n, d", [(2, 6), (2, 7), (3, 5)])

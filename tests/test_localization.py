@@ -43,6 +43,12 @@ class TestSampleWeights:
     def test_attempts_differ(self):
         assert sample_weights(1, 4).weights != sample_weights(1, 4, attempt=1).weights
 
+    @pytest.mark.parametrize("args", [(True, 4), (1, True), (1.5, 4), (1, 4, 2.0)])
+    def test_bool_and_float_rejected(self, args):
+        # True was drawn as seed 1 or as n = 1, and 1.5 seeded the generator
+        with pytest.raises(InputError, match="seed, n and attempt must be integers"):
+            sample_weights(*args)
+
     def test_entries_positive_distinct_bounded(self):
         for seed in range(1, 6):
             w = sample_weights(seed, 7)
@@ -122,7 +128,7 @@ class TestSmallTargets:
         target = CITarget(4, (5,), 1)
         a = FixedGraph((0, 3), ((0, 1, 1),), 1)
         b = FixedGraph((3, 0), ((0, 1, 1),), 1)
-        evaluator = _Evaluator(w, target)
+        evaluator = _Evaluator(w, target.degrees, target.insertions)
         assert evaluator.classes_total((a,)) == evaluator.classes_total((b,))
 
 
@@ -188,7 +194,7 @@ class TestDegeneracy:
         assert _degenerate(w, 2) and not _degenerate(w, 1)
         # the kernel's vanishing factor never yields a value
         with pytest.raises(ZeroDivisionError):
-            _Evaluator(w, CITarget(2, (), 2)).classes_total((graph,))
+            _Evaluator(w, (), ()).classes_total((graph,))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_predicate_matches_reference(self, n):
@@ -315,25 +321,12 @@ class TestDegeneracy:
             sum_invariant(CITarget(2, (), 3, (2,) * 8), seeds=(5, 3), jobs=jobs)
 
 
-def _built(monkeypatch):
-    # the weights of every evaluator built after this
-    real = _Evaluator.__init__
-    built = []
-
-    def counted(self, weights, target):
-        built.append(weights.weights)
-        real(self, weights, target)
-
-    monkeypatch.setattr(_Evaluator, "__init__", counted)
-    return built
-
-
 class TestKeptEvaluators:
-    """The calling process keeps the evaluators the last serial call used,
-    one per weight vector, and the next call reuses every one it evaluates
-    again, at any curve degree, whether its seeds draw the vector first or
-    by resampling; values, class counts and draws are those of a call with
-    nothing kept."""
+    """Each process keeps the ``_KEPT`` evaluators it used most recently, one
+    per weight vector, hypersurface degrees and insertions, and a call
+    reuses every one it evaluates again, at any curve degree, whether its
+    seeds draw the vector first or by resampling; values, class counts and
+    draws are those of a call with nothing kept."""
 
     @staticmethod
     def _recorded(monkeypatch):
@@ -351,60 +344,66 @@ class TestKeptEvaluators:
     @staticmethod
     def _isolated(target, seeds, calls):
         # value, class count and sorted draws of a call with nothing kept
-        localization._evaluators.clear()
+        localization._evaluator.cache_clear()
         calls.clear()
         result = sum_invariant(target, seeds=seeds)
         return result.value, result.graph_count, sorted(calls)
 
-    def test_degree_loop_builds_each_vector_once(self, monkeypatch):
-        built = _built(monkeypatch)
-        localization._evaluators.clear()
+    def test_degree_loop_builds_each_vector_once(self):
+        memo = localization._evaluator
+        memo.cache_clear()
         for d in range(1, 5):
             sum_invariant(CITarget(4, (5,), d), seeds=(1, 2, 3))
-        assert len(built) == 3
-        kept = [weakref.ref(evaluator) for evaluator in localization._evaluators.values()]
-        assert len(kept) == 3
-        # a call at other weights releases every kept evaluator when it
-        # returns, so between calls only the last call's tables are held
-        sum_invariant(CITarget(4, (5,), 2), seeds=(4, 5))
-        gc.collect()
-        assert all(ref() is None for ref in kept)
-        assert len(built) == 5
-        # a pooled call evaluates nothing here, so it keeps nothing
+        assert (memo.cache_info().misses, memo.cache_info().currsize) == (3, 3)
+        # a pooled call evaluates nothing here, so it leaves this process's
+        # memo as it was
+        kept = memo.cache_info()
         sum_invariant(CITarget(4, (5,), 3), seeds=(4, 5), jobs=2)
-        assert localization._evaluators == {}
+        assert memo.cache_info() == kept
+        sum_invariant(CITarget(4, (5,), 2), seeds=(1, 2, 3))
+        assert memo.cache_info().misses == 3
 
-    def test_resampled_vectors_are_built_once(self, monkeypatch):
+    def test_least_recently_used_is_rebuilt(self):
+        # lines never degenerate, so each call takes its seeds' first draws:
+        # two new vectors per call, more than _KEPT in all
+        memo = localization._evaluator
+        memo.cache_clear()
+        target = CITarget(4, (5,), 1)
+        pairs = [(2 * i + 1, 2 * i + 2) for i in range(localization._KEPT // 2 + 1)]
+        for i, seeds in enumerate(pairs):
+            sum_invariant(target, seeds=seeds)
+            if i == 0:
+                first = [weakref.ref(memo(sample_weights(s, 4), (5,), ())) for s in seeds]
+        built = 2 * len(pairs)
+        assert (memo.cache_info().misses, memo.cache_info().currsize) == (built, localization._KEPT)
+        gc.collect()
+        assert all(ref() is None for ref in first)
+        sum_invariant(target, seeds=pairs[-1])
+        assert memo.cache_info().misses == built
+        sum_invariant(target, seeds=pairs[0])
+        assert memo.cache_info().misses == built + 2
+
+    def test_resampled_vectors_are_built_once(self):
         # seeds 27, 75 and 191 resample at several quintic degrees, and the
-        # loop evaluates 7 distinct vectors over its 6 calls
-        built = _built(monkeypatch)
-        calls = self._recorded(monkeypatch)
-        localization._evaluators.clear()
-        seeds = (27, 75, 191)
+        # loop evaluates 7 distinct vectors 18 times over its 6 calls
+        memo = localization._evaluator
+        memo.cache_clear()
         for d in range(1, 7):
-            calls.clear()
-            sum_invariant(CITarget(4, (5,), d), seeds=seeds)
-        assert len(built) == len(set(built)) == 7
-        # what is kept is exactly what the last call evaluated: each seed's
-        # last draw, not the degenerate ones before it
-        taken = {
-            sample_weights(seed, 4, max(a for s, a in calls if s == seed)).weights
-            for seed in seeds
-        }
-        assert {key[0] for key in localization._evaluators} == taken
-        assert len(taken) < len(calls)
+            sum_invariant(CITarget(4, (5,), d), seeds=(27, 75, 191))
+        info = memo.cache_info()
+        assert (info.hits + info.misses, info.misses, info.currsize) == (18, 7, 7)
 
     @pytest.mark.parametrize("seeds", [(1, 2, 3), (27, 75, 191)])
     def test_reuse_leaves_no_trace(self, monkeypatch, seeds):
         # seeds 27, 75 and 191 resample at several of these degrees; at
-        # jobs=2, degree 3 and up opens a pool, which drops what was kept
+        # jobs=2, degree 3 and up opens a pool, whose workers keep their own
         calls = self._recorded(monkeypatch)
         for n, degrees, top in [(4, (5,), 4), (5, (3, 3), 3), (7, (2, 2, 2, 2), 2)]:
             targets = [CITarget(n, degrees, d) for d in range(1, top + 1)]
             isolated = {target: self._isolated(target, seeds, calls) for target in targets}
             for jobs in (1, 2):
                 for loop in (targets, targets[::-1]):
-                    localization._evaluators.clear()
+                    localization._evaluator.cache_clear()
                     for target in loop:
                         calls.clear()
                         result = sum_invariant(target, seeds=seeds, jobs=jobs)
@@ -421,19 +420,19 @@ class TestKeptEvaluators:
         alone = self._isolated(high, seeds, calls)
         assert alone[2] == [(75, 0), (75, 1), (203, 0), (203, 1)]
         assert self._isolated(low, seeds, calls)[2] == [(75, 0), (203, 0)]
-        reused = [weakref.ref(evaluator) for evaluator in localization._evaluators.values()]
-        assert len(reused) == 2
+        memo = localization._evaluator
+        assert memo.cache_info().currsize == 2
         calls.clear()
         result = sum_invariant(high, seeds=seeds)
         assert (result.value, result.graph_count, sorted(calls)) == alone
-        # the d=3 call evaluates neither vector, so it releases both
-        gc.collect()
-        assert all(ref() is None for ref in reused)
+        # the d=3 call uses neither kept vector and builds the two it takes
+        assert (memo.cache_info().misses, memo.cache_info().currsize) == (4, 4)
 
 
 class TestDegreeFreeEvaluators:
-    """Nothing an evaluator holds depends on the curve degree, so one built
-    for any degree serves every other, alone or shared between threads."""
+    """Nothing an evaluator holds depends on the curve degree, so one whose
+    memos were filled at any degree serves every other, alone or shared
+    between threads."""
 
     @pytest.mark.parametrize(
         "low, high",
@@ -444,13 +443,16 @@ class TestDegreeFreeEvaluators:
         ids=["shapes", "classes"],
     )
     def test_built_at_degree_one(self, low, high):
-        term, items, _count = localization._summands(high)
         weights = sample_weights(1, high.ambient_dim)
-        value = term(_Evaluator(weights, low), items)
-        assert value == term(_Evaluator(weights, high), items)
+        evaluator = _Evaluator(weights, high.degrees, high.insertions)
+        term, items, _count = localization._summands(low)
+        term(evaluator, items)
+        term, items, _count = localization._summands(high)
+        value = term(evaluator, items)
+        assert value == term(_Evaluator(weights, high.degrees, high.insertions), items)
         assert value == {5: 229305888887648, 4: 620}[high.curve_degree]
 
-    def test_concurrent_calls_share_evaluators(self, monkeypatch):
+    def test_concurrent_calls_share_evaluators(self):
         # each round's d=1 call leaves the evaluators of seeds 1-3 kept, and
         # eight threads, two per degree, then fill the same memos at once,
         # switching threads as often as the interpreter allows; no seed
@@ -463,15 +465,14 @@ class TestDegreeFreeEvaluators:
             4: (Fraction(15517926796875, 64), 2475),
             5: (229305888887648, 18730),
         }
-        built = _built(monkeypatch)
+        memo = localization._evaluator
 
         def call(d, copy):
             result = sum_invariant(CITarget(4, (5,), d), seeds=(1, 2, 3))
             results[d, copy] = result.value, result.graph_count
 
         for _round in range(3):
-            localization._evaluators.clear()
-            built.clear()
+            memo.cache_clear()
             sum_invariant(CITarget(4, (5,), 1), seeds=(1, 2, 3))
             results = {}
             threads = [
@@ -488,7 +489,7 @@ class TestDegreeFreeEvaluators:
                 sys.setswitchinterval(interval)
             assert not any(thread.is_alive() for thread in threads)
             assert results == {(d, copy): isolated[d] for d in isolated for copy in (0, 1)}
-            assert len(built) == 3
+            assert memo.cache_info().misses == 3
 
 
 class TestCertification:

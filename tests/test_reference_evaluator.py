@@ -53,7 +53,7 @@ def _graphs(n, d, marks=0):
 
 def assert_terms_agree(target, weights):
     graphs = _graphs(target.ambient_dim, target.curve_degree)
-    kernel = _Evaluator(weights, target)
+    kernel = _Evaluator(weights, target.degrees, target.insertions)
     reference = ReferenceEvaluator(weights, target)
     for graph in graphs:
         assert _outcome(kernel, graph) == _outcome(reference, graph), graph
@@ -126,7 +126,7 @@ class TestMarkedValue:
     )
     def test_marked_classes(self, target, scale):
         weights = scaled(sample_weights(2, target.ambient_dim), scale)
-        kernel = _Evaluator(weights, target)
+        kernel = _Evaluator(weights, target.degrees, target.insertions)
         factored = kernel.classes_total(assert_terms_agree(target, weights))
         reference = ReferenceEvaluator(weights, target)
         marked = _graphs(target.ambient_dim, target.curve_degree, len(target.insertions))
@@ -138,7 +138,7 @@ class TestDegeneracy:
         graph = FixedGraph((0, 2), ((0, 1, 2),), 1)
         weights = WeightVector((1, 2, 3))
         target = CITarget(2, (), 2)
-        for evaluator in (_Evaluator(weights, target), ReferenceEvaluator(weights, target)):
+        for evaluator in (_Evaluator(weights, (), ()), ReferenceEvaluator(weights, target)):
             assert _outcome(evaluator, graph) is DegenerateWeights
 
     def test_reciprocal_flag_weights_cancelling(self):
@@ -146,7 +146,7 @@ class TestDegeneracy:
         graph = FixedGraph((1, 0, 2), ((0, 1, 1), (0, 2, 1)), 1)
         weights = WeightVector((1, 2, 3))
         target = CITarget(2, (), 2)
-        for evaluator in (_Evaluator(weights, target), ReferenceEvaluator(weights, target)):
+        for evaluator in (_Evaluator(weights, (), ()), ReferenceEvaluator(weights, target)):
             assert _outcome(evaluator, graph) is DegenerateWeights
 
     @pytest.mark.parametrize(
@@ -161,7 +161,7 @@ class TestDegeneracy:
         ids=lambda value: _name(value) if isinstance(value, CITarget) else "",
     )
     def test_same_trees_degenerate(self, target, weights):
-        kernel = _Evaluator(weights, target)
+        kernel = _Evaluator(weights, target.degrees, target.insertions)
         degenerate = [
             graph
             for graph in _graphs(target.ambient_dim, target.curve_degree)

@@ -22,7 +22,7 @@ from gwlocal import (
 from gwlocal.relations import UnsupportedDimension, gw_difference, parse_degree_table
 from gwlocal.targets import InputError
 
-from oracles import forward_gw0, forward_gw1
+from oracles import forward_gw0, forward_gw1, kontsevich_manin
 
 QUINTIC_GW0 = {
     1: Fraction(2875),
@@ -181,6 +181,20 @@ class TestBPSTable:
         with pytest.raises(InputError, match="exact values, got 1: True"):
             build()
 
+    @pytest.mark.parametrize(
+        "build, degree",
+        [
+            (lambda: bps0_from_gw0({0: 5, 1: 2875}), 0),
+            (lambda: bps0_from_gw0({-3: 5}), -3),
+            (lambda: BPSTable(1, {0: 7}), 0),
+        ],
+        ids=["zero-and-one", "negative", "zero"],
+    )
+    def test_nonpositive_degree_rejected(self, build, degree):
+        # each of these dropped the degree, leaving {1: 2875} or no entry
+        with pytest.raises(InputError, match=f"degree must be at least 1, got {degree}$"):
+            build()
+
     def test_inversion_rejects_a_fractional_degree(self):
         with pytest.raises(ValueError, match="integer degrees"):
             bps0_from_gw0({1: 2875, 2.9: QUINTIC_GW0[2]})
@@ -194,10 +208,22 @@ class TestWDVV:
         table = wdvv_p2(5)
         assert table[4] == 620
         assert table[5] == 87304
+        assert [kontsevich_manin(2, d, (2,) * (3 * d - 1)) for d in (4, 5)] == [620, 87304]
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(InputError, match="max degree must be at least 1"):
             wdvv_p2(0)
+
+    @pytest.mark.parametrize("max_degree", [True, 2.5])
+    @pytest.mark.parametrize(
+        "build",
+        [wdvv_p2, lambda d: reproduce_table1(d, {}, {}, {}, lambda _d: 0)],
+        ids=["wdvv", "table1"],
+    )
+    def test_bool_and_float_bounds_rejected(self, build, max_degree):
+        # True == 1 gave one degree, and 2.5 a TypeError from range
+        with pytest.raises(InputError, match="max degree must be an integer"):
+            build(max_degree)
 
 
 class TestReferenceTable:
