@@ -8,7 +8,7 @@ invariant (the number of lines) comes out of two unrelated computations:
   * the tree sum over torus fixed loci, and
   * a direct pair sum over fixed points of the ambient space.
 
-The script evaluates both at the same random rational weights and prints the
+The script evaluates both at the same random integer weights and prints the
 shared integers.  2875 is the famous count of lines on the quintic; the
 others are its complete-intersection cousins.
 """

@@ -7,15 +7,12 @@ rational function of the torus weights, and the weighted sum over trees is a
 weight-independent constant whenever the insertions cut the problem to
 dimension zero.  That constant is the invariant.
 
-The engine evaluates the sum at concrete positive rational weight vectors
+The engine evaluates the sum at concrete positive integer weight vectors
 drawn deterministically from seeds and requires exact agreement across
 several seeds, which certifies weight independence without symbolic
-computation.  No floating point is involved.  The weights' denominators are
-cleared once: a balanced problem makes every tree term homogeneous of degree
-0 in the weights, so each term is evaluated at the integer multiple of the
-weight vector, built from integer numerators and denominators and reduced
-once, into one ``fractions.Fraction``; totals and results are exact
-``Fraction`` values.
+computation.  No floating point is involved.  Each term is built from
+integer numerators and denominators and reduced once, into one
+``fractions.Fraction``; totals and results are exact ``Fraction`` values.
 
 There are two sums, and the target's insertions alone select between them.
 A target with insertions is summed class by class: the tree classes are
@@ -93,8 +90,7 @@ __all__ = [
 
 ENGINE_VERSION = "0.1.0"
 
-# sample_weights draws integers from 1..WEIGHT_BOUND, so numerators are
-# bounded by WEIGHT_BOUND and denominators equal 1
+# sample_weights draws n + 1 distinct integers from 1..WEIGHT_BOUND
 WEIGHT_BOUND = 10_000
 
 _MAX_RESAMPLE = 64
@@ -127,30 +123,25 @@ def sample_weights(seed: int, n: int, attempt: int = 0) -> WeightVector:
     yields the same vector.  Bump ``attempt`` to stay in the same lineage
     while avoiding a degenerate specialization.  Raises
     :class:`~gwlocal.targets.InputError` unless all three are integers, not
-    ``bool``.
+    ``bool``, and ``n + 1`` weights fit in ``1..WEIGHT_BOUND``.
     """
     if not all(map(_is_integer, (seed, n, attempt))):
         raise InputError(f"seed, n and attempt must be integers, got {seed!r}, {n!r}, {attempt!r}")
+    if n + 1 > WEIGHT_BOUND:
+        raise InputError(
+            f"n = {n} needs {n + 1} distinct weights, more than WEIGHT_BOUND = {WEIGHT_BOUND}"
+        )
     rng = random.Random(1_000_003 * seed + attempt)
-    values = rng.sample(range(1, WEIGHT_BOUND + 1), n + 1)
-    return WeightVector(tuple(Fraction(v) for v in values))
-
-
-def _cleared(weights: WeightVector) -> tuple:
-    # the weights times the lcm of their denominators: integers in the
-    # same ratios, 1 the lcm for sampled weights
-    lam = weights.weights
-    scale = lcm(*(w.denominator for w in lam))
-    return tuple(w.numerator * (scale // w.denominator) for w in lam)
+    return WeightVector(tuple(rng.sample(range(1, WEIGHT_BOUND + 1), n + 1)))
 
 
 def _degenerate(weights: WeightVector, d: int) -> bool:
     """True if a tree of curve degree at most ``d`` has a vanishing
     denominator factor at ``weights``, in either sum; monotone in ``d``.
 
-    Such a factor involves three fixed points with cleared weights
-    ``a < m < b``: an edge of degree ``de`` from ``a`` to ``b`` meets ``m``
-    when ``c*b + (de - c)*a = de*m`` for some ``0 < c < de``, and the
+    Such a factor involves three fixed points with weights ``a < m < b``:
+    an edge of degree ``de`` from ``a`` to ``b`` meets ``m`` when
+    ``c*b + (de - c)*a = de*m`` for some ``0 < c < de``, and the
     reciprocal flag weights of a valence-2 vertex at ``m`` with flags of
     degrees ``e_a`` and ``e_b`` towards ``a`` and ``b`` cancel when
     ``e_a / (m - a) = e_b / (b - m)``.  The least such ``de`` and
@@ -158,7 +149,7 @@ def _degenerate(weights: WeightVector, d: int) -> bool:
     edge and vertex occurs in some tree of every degree at least that.
     """
     return any(
-        (b - a) // gcd(m - a, b - m) <= d for a, m, b in combinations(sorted(_cleared(weights)), 3)
+        (b - a) // gcd(m - a, b - m) <= d for a, m, b in combinations(sorted(weights.weights), 3)
     )
 
 
@@ -186,14 +177,10 @@ class _Evaluator:
     :func:`_degenerate` at the degrees of the trees summed
     (:func:`sum_invariant` enforces both); a degenerate vector's vanishing
     factor raises ``ZeroDivisionError`` and never yields a value.
-    Every tree term of a balanced problem is then homogeneous of degree 0 in
-    the weights, so it takes the same value at ``lam`` and at the integer
-    vector ``p = L * lam``, with ``L`` the lcm of the weight denominators (1
-    for sampled weights).  The denominators are cleared once, here; every
-    factor is an integer numerator and denominator at ``p``, and the class
-    sum makes each slice of trees one ``Fraction`` at the end, reduced once
-    instead of once per multiply or per tree.  For an unbalanced target the
-    value is the term at ``p``.
+    Every factor is an integer numerator and denominator at the integer
+    weights ``p``, and the class sum makes each slice of trees one
+    ``Fraction`` at the end, reduced once instead of once per multiply or
+    per tree.
 
     Edge factors recur across trees, so each one, whole, is memoized as an
     integer numerator and denominator, with the edge's two integer flags,
@@ -218,7 +205,7 @@ class _Evaluator:
     """
 
     def __init__(self, weights: WeightVector, degrees: tuple, insertions: tuple):
-        self.p = _cleared(weights)
+        self.p = weights.weights
         self.degrees = degrees
         # per label: the tangent product T_i = prod_{k != i} (p_i - p_k), and
         # T_i^2 * B_i, with B_i = prod_a a * p_i the hypersurface base, the

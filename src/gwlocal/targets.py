@@ -1,16 +1,14 @@
 """Complete-intersection counting problems on projective space.
 
-Targets, torus weight vectors, and expected-dimension bookkeeping.  All
-quantities are exact: curve classes are integer multiples of the line class,
-insertions are powers of the hyperplane class, and every rational value is a
-``fractions.Fraction`` (lowest terms, positive denominator, guaranteed by the
-stdlib).  No floating point enters any computation.
+Targets, torus weight vectors, and expected-dimension bookkeeping.  Every
+quantity here is an integer: curve classes are multiples of the line class,
+insertions are powers of the hyperplane class, and torus weights are
+positive integers.  No floating point enters any computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "InputError",
@@ -76,17 +74,16 @@ class CITarget:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Strictly positive, pairwise-distinct rational torus weights, one per
+    """Strictly positive, pairwise-distinct integer torus weights, one per
     homogeneous coordinate of the ambient projective space."""
 
     weights: tuple
 
     def __post_init__(self):
         ws = tuple(self.weights)
-        if any(isinstance(w, bool) for w in ws):
-            raise InputError(f"weights must be rationals, not bool, got {ws!r}")
-        ws = tuple(map(Fraction, ws))
         object.__setattr__(self, "weights", ws)
+        if not all(map(_is_integer, ws)):
+            raise InputError(f"weights must be integers, not bool, got {ws!r}")
         if len(ws) < 2:
             raise InputError("need at least two weights")
         if any(w <= 0 for w in ws):

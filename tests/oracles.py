@@ -119,56 +119,79 @@ def _splits(entries):
         yield first, second, ways
 
 
-def _invariant(r, d, codims):
-    # genus-zero invariant of P^r in degree d >= 0 with one insertion H^a per
-    # entry a of codims, in any order: at d = 0 the classical triple
-    # intersection, which is 1 when three codimensions sum to r and 0 for any
-    # other number of insertions
+def _invariant(space, d, codims):
+    # genus-zero invariant of the complete intersection ``space`` in degree
+    # d >= 0 with one insertion H^a per entry a of codims, in any order: at
+    # d = 0 the classical triple intersection, which is the degree when three
+    # codimensions sum to the dimension and 0 for any other number of
+    # insertions
+    dim, _index, degree, _base = space
     if d == 0:
-        return int(len(codims) == 3 and sum(codims) == r)
-    return kontsevich_manin(r, d, tuple(sorted(codims)))
+        return degree if len(codims) == 3 and sum(codims) == dim else 0
+    return h_subring_wdvv(*space, d, tuple(sorted(codims)))
 
 
 @lru_cache(maxsize=None)
-def kontsevich_manin(r, d, codims):
-    """Number of rational curves of degree ``d >= 1`` in projective
-    ``r``-space, ``r >= 2``, meeting general linear subspaces of the
-    codimensions in the sorted tuple ``codims``: the genus-zero invariant
-    with one insertion ``H^a`` per entry ``a``, from the Kontsevich-Manin
-    recursion (hep-th/9402147; Fulton-Pandharipande, alg-geom/9608011).
+def h_subring_wdvv(dim, index, degree, base, d, codims):
+    """Genus-zero invariant of degree ``d >= 1`` of a complete intersection X
+    in projective space, with one insertion ``H^a`` per entry ``a`` of the
+    sorted tuple ``codims``, from WDVV on the subring spanned by
+    ``1, H, ..., H^dim`` (Kontsevich-Manin, hep-th/9402147; Beauville,
+    alg-geom/9501008; Givental, alg-geom/9603021).
 
-    It is 0 unless the codimensions, each at most ``r``, cut the problem to
-    dimension 0: ``sum(a - 1) == (r + 1) * d + r - 3``.  A codimension-0
+    X has dimension ``dim``, Fano index ``index`` (``c_1 = index * H``) and
+    degree ``degree`` (``H^dim = degree`` points).  The quantum product keeps
+    the subring, so WDVV restricted to it holds with the pairing
+    ``<H^e, H^f> = degree`` when ``e + f = dim`` and 0 otherwise, whose
+    inverse puts ``H^e (x) H^(dim-e) / degree`` on the diagonal, and with the
+    classical triple product ``degree`` when three codimensions sum to
+    ``dim``.  ``base`` holds the invariants WDVV cannot reach, as
+    ``((d, codims), value)`` pairs: those with one or two insertions, each of
+    codimension at least 2, and ``d`` at least 1.
+
+    It is 0 unless the codimensions, each at most ``dim``, cut the problem
+    to dimension 0: ``sum(a - 1) == dim - 3 + index * d``.  A codimension-0
     entry makes it 0 (string axiom), a codimension-1 entry is a factor ``d``
-    (divisor axiom), and a line through two points is the base case
-    ``N(r, 1, (r, r)) = 1``; with every entry at least 2 and fewer than
-    three entries no other problem is balanced.  Otherwise, for the three
-    smallest entries ``a <= b <= c`` and the rest ``S``, WDVV for the four
-    classes ``H^(a-1), H, H^b, H^c`` and ``S`` equates the sums over
-    splittings ``d1 + d2 = d``, ``S = A + B`` and the diagonal ``H^e, H^(r-e)``
-    of ``N(d1; a-1, 1, A, e) N(d2; r-e, b, c, B)`` and of
-    ``N(d1; a-1, b, A, e) N(d2; r-e, 1, c, B)``.  The first sum's ``d1 = 0``
-    term is the wanted ``N(d; a, b, c, S)``; every other term has a lower
-    degree, fewer entries once the divisor axiom is applied, or as many
-    entries with the smallest, ``a``, lowered by one, so the recursion ends.
+    (divisor axiom), and with fewer than three entries the value is read
+    from ``base`` (a missing one raises ``KeyError``).  Otherwise, for the
+    three smallest entries ``a <= b <= c`` and the rest ``S``, WDVV for the
+    four classes ``H^(a-1), H, H^b, H^c`` and ``S`` equates the sums over
+    splittings ``d1 + d2 = d``, ``S = A + B`` and the diagonal of
+    ``N(d1; a-1, 1, A, e) N(d2; dim-e, b, c, B) / degree`` and of
+    ``N(d1; a-1, b, A, e) N(d2; dim-e, 1, c, B) / degree``.  The first
+    sum's ``d1 = 0`` term is the wanted ``N(d; a, b, c, S)``; every other
+    term has a lower degree, fewer entries once the divisor axiom is
+    applied, or as many entries with the smallest, ``a``, lowered by one, so
+    the recursion ends.
     """
-    if any(a > r for a in codims) or sum(a - 1 for a in codims) != (r + 1) * d + r - 3:
+    if any(a > dim for a in codims) or sum(a - 1 for a in codims) != dim - 3 + index * d:
         return 0
-    if codims[0] == 0:
+    if codims[:1] == (0,):
         return 0
-    if codims[0] == 1:
-        return d * kontsevich_manin(r, d, codims[1:])
+    if codims[:1] == (1,):
+        return d * h_subring_wdvv(dim, index, degree, base, d, codims[1:])
     if len(codims) < 3:
-        return int(d == 1 and codims == (r, r))
+        return dict(base)[d, codims]
+    space = (dim, index, degree, base)
     a, b, c, *rest = codims
     total = 0
     for d1 in range(d + 1):
         for first, second, ways in _splits(tuple(rest)):
-            for e in range(r + 1):
-                left = _invariant(r, d1, (a - 1, b, *first, e))
+            for e in range(dim + 1):
+                left = _invariant(space, d1, (a - 1, b, *first, e))
                 if left:
-                    total += ways * left * _invariant(r, d - d1, (r - e, 1, c, *second))
-                left = _invariant(r, d1, (a - 1, 1, *first, e)) if d1 else 0
+                    total += ways * left * _invariant(space, d - d1, (dim - e, 1, c, *second))
+                left = _invariant(space, d1, (a - 1, 1, *first, e)) if d1 else 0
                 if left:
-                    total -= ways * left * _invariant(r, d - d1, (r - e, b, c, *second))
-    return total
+                    total -= ways * left * _invariant(space, d - d1, (dim - e, b, c, *second))
+    return Fraction(total, degree)
+
+
+def kontsevich_manin(r, d, codims):
+    """Number of rational curves of degree ``d >= 1`` in projective
+    ``r``-space, ``r >= 2``, meeting general linear subspaces of the
+    codimensions in the sorted tuple ``codims``: :func:`h_subring_wdvv` for
+    projective space, of index ``r + 1`` and degree 1, whose one base datum
+    is a line through two points (Fulton-Pandharipande, alg-geom/9608011).
+    """
+    return h_subring_wdvv(r, r + 1, 1, (((1, (r, r)), 1),), d, codims)

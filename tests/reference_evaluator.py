@@ -31,7 +31,7 @@ class ReferenceEvaluator:
     def __init__(self, weights: WeightVector, target: CITarget):
         if weights.ambient_dim != target.ambient_dim:
             raise ValueError("weight vector length does not match the ambient dimension")
-        self.lam = weights.weights
+        self.lam = tuple(map(Fraction, weights.weights))
         self.target = target
         self._bundle_memo = {}
         self._normal_memo = {}
@@ -168,6 +168,6 @@ def permuted(weights: WeightVector, perm) -> WeightVector:
     return WeightVector(tuple(weights.weights[p] for p in perm))
 
 
-def scaled(weights: WeightVector, factor) -> WeightVector:
-    """``weights`` with every entry multiplied by ``factor``."""
-    return WeightVector(tuple(w * Fraction(factor) for w in weights.weights))
+def scaled(weights: WeightVector, factor: int) -> WeightVector:
+    """``weights`` with every entry multiplied by the integer ``factor``."""
+    return WeightVector(tuple(w * factor for w in weights.weights))

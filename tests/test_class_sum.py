@@ -27,10 +27,14 @@ from gwlocal import localization
 from gwlocal.localization import _degenerate, _Evaluator, _summands, _totals_at
 
 import reference_graphs
-from oracles import kontsevich_manin
+from oracles import h_subring_wdvv, kontsevich_manin
 from reference_evaluator import DegenerateWeights, ReferenceEvaluator, scaled
 
-SCALES = (1, Fraction(7, 3), Fraction(1, 97))
+# each scale is a ratio of two integer factors: the engine's vector is the
+# base vector times its numerator, the reference's the base vector times its
+# denominator, and a balanced problem's value, homogeneous of degree 0 in the
+# weights, is the same at both
+SCALES = (Fraction(1), Fraction(7, 3), Fraction(1, 97))
 
 
 @lru_cache(maxsize=None)
@@ -86,16 +90,16 @@ CASES = [(target, scale) for target in TARGETS for scale in SCALES]
 
 @pytest.mark.parametrize("target, scale", CASES, ids=[f"{_name(t)}-x{s}" for t, s in CASES])
 def test_equals_reference_class_sum(target, scale):
-    weights = scaled(sample_weights(4, target.ambient_dim), scale)
-    (total,) = _class_totals(target, [weights])
+    base = sample_weights(4, target.ambient_dim)
+    (total,) = _class_totals(target, [scaled(base, scale.numerator)])
     assert total is not None
-    assert total == _reference_total(target, weights)
+    assert total == _reference_total(target, scaled(base, scale.denominator))
 
 
 def _admissible(target):
     # two vectors of the target that sum_invariant could evaluate
     candidates = [
-        scaled(sample_weights(5, target.ambient_dim), Fraction(7, 3)),
+        scaled(sample_weights(5, target.ambient_dim), 7),
         sample_weights(6, target.ambient_dim),
     ]
     assert not any(_degenerate(weights, target.curve_degree) for weights in candidates)
@@ -130,7 +134,7 @@ def test_two_slices_equal_one_without_fork(method):
     [
         # 1 + 3 = 2 * 2: a degree-2 edge between labels 0 and 2 meets label 1
         (CITarget(2, (), 3, (2,) * 8), WeightVector((1, 2, 3)), True),
-        (CITarget(2, (), 2, (2,) * 5), scaled(WeightVector((1, 2, 3)), Fraction(1, 3)), True),
+        (CITarget(2, (), 2, (2,) * 5), scaled(WeightVector((1, 2, 3)), 3), True),
         (CITarget(3, (), 2, (2,) * 8), WeightVector((1, 2, 3, 4)), True),
         # 4 + 2 * 1 = 3 * 2 meets only a degree-3 edge: fine at d=2, not at d=3
         (CITarget(2, (), 2, (2,) * 5), WeightVector((1, 4, 2)), False),
@@ -164,7 +168,7 @@ class TestSliceSum:
     def test_slice_total_is_sum_of_class_totals(self, target):
         graphs = _summands(target)[1]
         evaluator = _Evaluator(
-            scaled(sample_weights(4, target.ambient_dim), Fraction(7, 3)),
+            scaled(sample_weights(4, target.ambient_dim), 7),
             target.degrees,
             target.insertions,
         )
@@ -274,4 +278,101 @@ KONTSEVICH_MANIN_GRID = [
 @pytest.mark.parametrize("target", KONTSEVICH_MANIN_GRID, ids=_name)
 def test_matches_kontsevich_manin(target):
     expected = kontsevich_manin(target.ambient_dim, target.curve_degree, target.insertions)
+    assert sum_invariant(target).value == expected
+
+
+# The 1- and 2-point invariants, with insertions of codimension at least 2,
+# that the H-subring WDVV recursion takes as given, per complete
+# intersection: (ambient dimension, hypersurface degrees, top curve degree
+# of the grid, {(d, codims): value}).  "Classical" values are counts of
+# curves through general cycles, times the degrees of the cycles; the rest
+# are the engine's, pinned here.
+COMPLETE_INTERSECTIONS = {
+    "cubic-threefold": (4, (3,), 4, {
+        # classical: H^3 is 3 points, and 6 lines pass through a general point
+        (1, (3,)): 3 * 6,
+        # classical: H^2 is 3 lines in homology, and 5 lines meet two general
+        # lines (Clemens-Griffiths, Ann. Math. 95, 1972)
+        (1, (2, 2)): 3**2 * 5,
+        # classical: the line through two general points meets X in a third;
+        # each of the 6 lines there spans a plane with it, whose residual
+        # conic passes through both points
+        (2, (3, 3)): 3**2 * 6,
+    }),
+    # classical: H^3 is 4 points and H^2 4 lines; 4 lines pass through a
+    # general point, 2 lines meet two general lines (the Fano surface is a
+    # principally polarized abelian surface, the lines meeting a line a theta
+    # divisor), and 2 conics pass through two general points (the pencil has
+    # one quadric containing their line, and each of its two families of
+    # planes has one plane through that line)
+    "(2,2)-threefold": (5, (2, 2), 3, {
+        (1, (3,)): 4 * 4,
+        (1, (2, 2)): 4**2 * 2,
+        (2, (3, 3)): 4**2 * 2,
+    }),
+    # classical: H^3 is 2 points and H^2 2 lines, and one line through a
+    # general point meets a general line
+    "quadric-threefold": (4, (2,), 3, {(1, (2, 3)): 2 * 2 * 1}),
+    # the engine's
+    "quartic-threefold": (4, (4,), 3, {
+        (1, (2,)): 320,
+        (2, (3,)): 3888,
+        (2, (2, 2)): 27200,
+        (3, (2, 3)): 672768,
+    }),
+    # classical: H^4 is 3 points, and the lines through a general point
+    # sweep a cone of degree 6 that meets a general H^2 in 6 points; the
+    # engine's 45
+    "cubic-fourfold": (5, (3,), 2, {(1, (2, 4)): 3 * 6, (1, (3, 3)): 45}),
+    # classical as for the cubic, with a cone of degree 4; the engine's 32
+    "(2,2)-fourfold": (6, (2, 2), 2, {(1, (2, 4)): 4 * 4, (1, (3, 3)): 32}),
+    # classical: 27 lines, and one conic of each of the 27 pencils |H - L|
+    # through a general point of H^2 = 3 points; the engine's 756
+    "cubic-surface": (3, (3,), 4, {(1, ()): 27, (2, (2,)): 3 * 27, (3, (2, 2)): 756}),
+    # classical: H^2 is 2 points, and 2 lines pass through each
+    "quadric-surface": (3, (2,), 4, {(1, (2,)): 2 * 2}),
+}
+
+
+def _space(name):
+    # the recursion's (dimension, index, degree, base) of a named target
+    n, degrees, _top, base = COMPLETE_INTERSECTIONS[name]
+    return n - len(degrees), n + 1 - sum(degrees), prod(degrees), tuple(sorted(base.items()))
+
+
+BASE_CASES = [
+    (name, CITarget(n, degrees, d, codims), value)
+    for name, (n, degrees, _top, base) in COMPLETE_INTERSECTIONS.items()
+    for (d, codims), value in base.items()
+]
+
+
+@pytest.mark.parametrize(
+    "name, target, value", BASE_CASES, ids=[f"{name}-{_name(t)}" for name, t, _v in BASE_CASES]
+)
+def test_h_subring_base_data(name, target, value):
+    assert sum_invariant(target).value == value
+
+
+def _h_subring_grid():
+    # every target of at least three insertions, each of codimension at
+    # least 2, up to the family's top degree
+    for name, (n, degrees, top, _base) in COMPLETE_INTERSECTIONS.items():
+        dim, index = n - len(degrees), n + 1 - sum(degrees)
+        for d in range(1, top + 1):
+            need = dim - 3 + index * d
+            for size in range(3, need + 1):
+                for codims in combinations_with_replacement(range(2, dim + 1), size):
+                    if sum(a - 1 for a in codims) == need:
+                        yield name, CITarget(n, degrees, d, codims)
+
+
+H_SUBRING_GRID = list(_h_subring_grid())
+
+
+@pytest.mark.parametrize(
+    "name, target", H_SUBRING_GRID, ids=[f"{name}-{_name(t)}" for name, t in H_SUBRING_GRID]
+)
+def test_matches_h_subring_wdvv(name, target):
+    expected = h_subring_wdvv(*_space(name), target.curve_degree, target.insertions)
     assert sum_invariant(target).value == expected

@@ -161,6 +161,21 @@ class TestGenus0:
         assert out == ""
         assert "engine failure: no admissible weights for seed 1" in err
 
+    def test_more_weights_than_the_bound_exit_1(self, capsys, cache_dir):
+        # a balanced line count in P^10000 lists its one shape at once, then
+        # needs 10,001 distinct weights from 1..10,000
+        code, out, err = run(
+            capsys,
+            "genus0", "--ambient-dim", "10000", "--degrees", "19997", "--curve-degree", "1",
+            "--cache-dir", cache_dir,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "gwlocal genus0: error: n = 10000 needs 10001 distinct weights,"
+            " more than WEIGHT_BOUND = 10000"
+        ]
+
 
 class TestCache:
     def test_hit_is_bit_identical_and_noted(self, capsys, cache_dir):

@@ -56,7 +56,20 @@ class TestSampleWeights:
             assert len(set(w.weights)) == 8
             for entry in w.weights:
                 assert 0 < entry <= localization.WEIGHT_BOUND
-                assert entry.denominator == 1
+                assert type(entry) is int
+
+    def test_draws_are_the_generators_integers(self):
+        # the weights are the integers the seeded generator draws, as drawn
+        assert sample_weights(1, 4).weights == (8453, 5246, 8540, 2840, 8411)
+        assert sample_weights(7, 2, attempt=3).weights == (8431, 3498, 6671)
+
+    def test_more_weights_than_the_bound_rejected(self):
+        # n + 1 distinct weights cannot come from 1..WEIGHT_BOUND; the largest
+        # n that fits still draws
+        bound = localization.WEIGHT_BOUND
+        with pytest.raises(InputError, match=f"n = {bound} needs {bound + 1} distinct weights"):
+            sample_weights(1, bound)
+        assert sorted(sample_weights(1, bound - 1).weights) == list(range(1, bound + 1))
 
 
 class TestDimensions:
@@ -166,7 +179,7 @@ class TestCovariance:
     def test_scaling_leaves_total_fixed(self):
         target = CITarget(4, (5,), 2)
         w = sample_weights(11, 4)
-        assert self._total(target, w) == self._total(target, scaled(w, Fraction(7, 3)))
+        assert self._total(target, w) == self._total(target, scaled(w, 7))
 
     def test_permutation_leaves_total_fixed(self):
         target = CITarget(2, (), 2, (2, 2, 2, 2, 2))
@@ -204,16 +217,16 @@ class TestDegeneracy:
         # depend on the scale or the hypersurface, so each vector runs the
         # reference at one scale, with or without a hypersurface, in turn
         classes = {d: tuple(reference_graphs.classes(n, d, 0)) for d in range(1, 5)}
-        scales = (1, Fraction(7, 3), Fraction(1, 97))
+        scales = (1, 7, 97)
         turns = [(scale, degrees) for scale in scales for degrees in ((), (2,))]
         for i, values in enumerate(combinations(range(1, 8), n + 1)):
             scale, degrees = turns[i % len(turns)]
-            weights = scaled(WeightVector(values), scale)
-            reference = ReferenceEvaluator(weights, CITarget(n, degrees, 1))
+            base = WeightVector(values)
+            reference = ReferenceEvaluator(scaled(base, scale), CITarget(n, degrees, 1))
             for d, graphs in classes.items():
                 raises = _raises(reference, graphs)
                 for other in scales:
-                    assert _degenerate(scaled(weights, other / scale), d) == raises, (values, d)
+                    assert _degenerate(scaled(base, other), d) == raises, (values, d)
 
     def test_draws_pinned(self, monkeypatch):
         # on the quintic at d=2 and d=3, every seed triple (s, s+1, s+2) for
@@ -574,6 +587,29 @@ class TestParallel:
             parallel = sum_invariant(target, seeds=(1, 2), jobs=2)
             assert serial.value == parallel.value == value
             assert serial.graph_count == parallel.graph_count == classes
+
+    @pytest.mark.parametrize(
+        "target, value, workers",
+        [
+            # 3 classes and 2 shapes, fewer than 2 * jobs: no pool
+            (CITarget(2, (), 1, (2, 2)), 1, []),
+            (CITarget(4, (5,), 2), Fraction(4876875, 8), []),
+            # 4 shapes: one pool of jobs workers
+            (CITarget(4, (5,), 3), Fraction(8564575000, 27), [2]),
+        ],
+        ids=["p2-lines-3-classes", "quintic-d2-2-shapes", "quintic-d3-4-shapes"],
+    )
+    def test_pool_opens_at_two_items_per_worker(self, monkeypatch, target, value, workers):
+        real_pool = localization.ProcessPoolExecutor
+        opened = []
+
+        def counted_pool(max_workers, *args, **kwargs):
+            opened.append(max_workers)
+            return real_pool(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(localization, "ProcessPoolExecutor", counted_pool)
+        assert sum_invariant(target, seeds=(1, 2), jobs=2).value == value
+        assert opened == workers
 
 
 class TestLinesOracle:

@@ -1,13 +1,14 @@
 """The package's integer evaluator against the original Fraction evaluator,
 term by term at shared weights.
 
-Both evaluators see the same tree and the same weight vector; every
-contribution must be the identical ``Fraction``, and a specialization must
-degenerate for one exactly when it degenerates for the other: the reference
-raises its own ``DegenerateWeights``, and the package's vanishing factor
-raises ``ZeroDivisionError``.  The package evaluates at the weights with
-their denominators cleared, which leaves a balanced problem's terms
-unchanged; the non-integral scales check that.
+Both evaluators see the same tree, and the same weight vector or two
+integer multiples of it; every contribution must be the identical
+``Fraction``, and a specialization must degenerate for one exactly when it
+degenerates for the other: the reference raises its own
+``DegenerateWeights``, and the package's vanishing factor raises
+``ZeroDivisionError``.  A balanced problem's terms are homogeneous of
+degree 0 in the weights, so multiples of one vector give the same terms;
+the scales other than 1 check that.
 """
 
 from fractions import Fraction
@@ -26,7 +27,11 @@ from gwlocal.localization import _Evaluator
 import reference_graphs
 from reference_evaluator import DegenerateWeights, ReferenceEvaluator, scaled
 
-SCALES = (1, Fraction(7, 3), Fraction(1, 97))
+# each scale is a ratio of two integer factors: the engine's vector is the
+# base vector times its numerator, the reference's the base vector times its
+# denominator, and a balanced problem's value, homogeneous of degree 0 in the
+# weights, is the same at both
+SCALES = (Fraction(1), Fraction(7, 3), Fraction(1, 97))
 
 
 def _value(evaluator, graph):
@@ -51,10 +56,12 @@ def _graphs(n, d, marks=0):
     return tuple(reference_graphs.classes(n, d, marks))
 
 
-def assert_terms_agree(target, weights):
+def assert_terms_agree(target, weights, reference_weights=None):
+    # the kernel at weights, the reference at reference_weights, by default
+    # the same
     graphs = _graphs(target.ambient_dim, target.curve_degree)
     kernel = _Evaluator(weights, target.degrees, target.insertions)
-    reference = ReferenceEvaluator(weights, target)
+    reference = ReferenceEvaluator(reference_weights or weights, target)
     for graph in graphs:
         assert _outcome(kernel, graph) == _outcome(reference, graph), graph
     return graphs
@@ -98,15 +105,17 @@ class TestSummedValue:
         "target, scale", CASES, ids=[f"{_name(t)}-x{scale}" for t, scale in CASES]
     )
     def test_low_degrees(self, target, scale):
-        weights = scaled(sample_weights(4, target.ambient_dim), scale)
-        assert_terms_agree(target, weights)
+        base = sample_weights(4, target.ambient_dim)
+        assert_terms_agree(
+            target, scaled(base, scale.numerator), scaled(base, scale.denominator)
+        )
 
     def test_quintic_degree_four(self):
         graphs = assert_terms_agree(CITarget(4, (5,), 4), sample_weights(1, 4))
         assert len(graphs) == 2475
 
     def test_plane_quartics_through_eleven_points(self):
-        weights = scaled(sample_weights(6, 2), Fraction(1, 97))
+        weights = scaled(sample_weights(6, 2), 97)
         graphs = assert_terms_agree(_points_in_p2(4), weights)
         assert len(graphs) == 159
 
@@ -125,10 +134,12 @@ class TestMarkedValue:
         "target, scale", MARKED_CASES, ids=[f"{_name(t)}-x{s}" for t, s in MARKED_CASES]
     )
     def test_marked_classes(self, target, scale):
-        weights = scaled(sample_weights(2, target.ambient_dim), scale)
+        base = sample_weights(2, target.ambient_dim)
+        weights = scaled(base, scale.numerator)
+        reference_weights = scaled(base, scale.denominator)
         kernel = _Evaluator(weights, target.degrees, target.insertions)
-        factored = kernel.classes_total(assert_terms_agree(target, weights))
-        reference = ReferenceEvaluator(weights, target)
+        factored = kernel.classes_total(assert_terms_agree(target, weights, reference_weights))
+        reference = ReferenceEvaluator(reference_weights, target)
         marked = _graphs(target.ambient_dim, target.curve_degree, len(target.insertions))
         assert factored == sum(map(reference.marked_value, marked))
 
@@ -156,7 +167,7 @@ class TestDegeneracy:
             (_points_in_p2(3), WeightVector((1, 2, 3))),
             (CITarget(2, (), 3, (2, 2, 2, 1, 1, 1)), WeightVector((2, 4, 6))),
             (_lines_in_p3(2), WeightVector((1, 2, 3, 4))),
-            (CITarget(4, (5,), 3), scaled(WeightVector((1, 2, 3, 4, 5)), Fraction(1, 3))),
+            (CITarget(4, (5,), 3), scaled(WeightVector((1, 2, 3, 4, 5)), 3)),
         ],
         ids=lambda value: _name(value) if isinstance(value, CITarget) else "",
     )

@@ -19,7 +19,11 @@ from gwlocal.localization import _degenerate, _summands, _totals_at
 import reference_graphs
 from reference_evaluator import DegenerateWeights, ReferenceEvaluator, scaled
 
-SCALES = (1, Fraction(7, 3), Fraction(1, 97))
+# each scale is a ratio of two integer factors: the engine's vector is the
+# base vector times its numerator, the reference's the base vector times its
+# denominator, and a balanced problem's value, homogeneous of degree 0 in the
+# weights, is the same at both
+SCALES = (Fraction(1), Fraction(7, 3), Fraction(1, 97))
 
 
 @lru_cache(maxsize=None)
@@ -56,7 +60,7 @@ TARGETS = (
 )
 
 # every target at every scale; the two costliest reference sums (about a
-# second each) take one non-integral scale each
+# second each) take one scale other than 1 each
 CASES = [(target, scale) for target in TARGETS for scale in SCALES] + [
     (CITarget(4, (5,), 4), SCALES[2]),
     (CITarget(7, (2, 2, 2, 2), 3), SCALES[1]),
@@ -65,10 +69,10 @@ CASES = [(target, scale) for target in TARGETS for scale in SCALES] + [
 
 @pytest.mark.parametrize("target, scale", CASES, ids=[f"{_name(t)}-x{s}" for t, s in CASES])
 def test_equals_reference_class_sum(target, scale):
-    weights = scaled(sample_weights(4, target.ambient_dim), scale)
-    total = _shape_total(target, weights)
+    base = sample_weights(4, target.ambient_dim)
+    total = _shape_total(target, scaled(base, scale.numerator))
     assert total is not None
-    assert total == _reference_total(target, weights)
+    assert total == _reference_total(target, scaled(base, scale.denominator))
 
 
 @pytest.mark.parametrize(
@@ -76,7 +80,7 @@ def test_equals_reference_class_sum(target, scale):
     [
         # 1 + 3 = 2 * 2: a degree-2 edge between labels 0 and 2 meets label 1
         (CITarget(4, (5,), 2), WeightVector((1, 2, 3, 10, 20)), True),
-        (CITarget(4, (5,), 3), scaled(WeightVector((1, 2, 3, 4, 5)), Fraction(1, 3)), True),
+        (CITarget(4, (5,), 3), scaled(WeightVector((1, 2, 3, 4, 5)), 3), True),
         (CITarget(5, (3, 3), 2), WeightVector((1, 2, 3, 4, 5, 6)), True),
         # 4 + 2 * 1 = 3 * 2 meets only a degree-3 edge: fine at d=2, not at d=3
         (CITarget(4, (5,), 2), WeightVector((1, 4, 2, 30, 50)), False),

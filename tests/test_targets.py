@@ -132,12 +132,19 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector((0, 1, 2))
         with pytest.raises(ValueError):
-            WeightVector((Fraction(-1, 2), 1, 2))
+            WeightVector((-1, 1, 2))
 
     def test_rejects_bool(self):
         # True == 1, so this was read as the weights (1, 2, 3)
         with pytest.raises(InputError, match="not bool"):
             WeightVector((True, 2, 3))
+
+    @pytest.mark.parametrize(
+        "weights", [(Fraction(1, 2), 1, 2), (Fraction(1), 2, 3), (1.0, 2, 3), (1, 2, 3.5)]
+    )
+    def test_rejects_non_integers(self, weights):
+        with pytest.raises(InputError, match="weights must be integers"):
+            WeightVector(weights)
 
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
@@ -149,8 +156,10 @@ class TestWeightVector:
         assert w.ambient_dim == 2
 
     def test_scaled(self):
-        w = scaled(WeightVector((1, 2, 7)), Fraction(3, 5))
-        assert list(w.weights) == [Fraction(3, 5), Fraction(6, 5), Fraction(21, 5)]
+        w = scaled(WeightVector((1, 2, 7)), 3)
+        assert w.weights == (3, 6, 21)
+        with pytest.raises(InputError):
+            scaled(WeightVector((1, 2, 7)), Fraction(3, 5))
 
     def test_permuted(self):
         w = permuted(WeightVector((1, 2, 7)), (2, 0, 1))
