@@ -36,8 +36,11 @@ edges; so each vertex carries the per-label constant ``T_i^2 * B_i`` and
 each edge factor divides by its ends' ``B_i * B_j``.  In the class sum each
 mark's vertex sum is an integer over ``L = lcm(T_0, ..., T_n)``; the marks'
 common denominator ``L^k`` is the same for every class, so the class sum
-adds a slice's integer terms over the running lcm of their denominators
-and makes one ``Fraction`` per slice, divided by ``L^k``.
+adds a slice's integer terms by a balanced pairwise sum, one ``gcd`` per
+pair per round, and makes one ``Fraction`` per slice, divided by ``L^k``.
+It reads edges from flat per-degree tables, in which each edge to a leaf
+also carries the leaf's whole vertex factor and mark terms, so a leaf costs
+one lookup.
 
 A weight vector degenerates when a tree has a vanishing denominator
 factor; :func:`_degenerate` decides that from the weights, before any sum.
@@ -169,6 +172,25 @@ def required_insertion_total(target: CITarget) -> int:
     return stable_map_dim(target.ambient_dim, d, len(target.insertions)) - bundle_rank
 
 
+def _pairwise_sum(nums, dens):
+    """``(num, den)`` with ``num / den`` the sum of the ``nums[t] / dens[t]``,
+    added in balanced pairs, one ``gcd`` per pair per round, and left
+    unreduced; ``(0, 1)`` for none.  A zero denominator keeps the sum's
+    denominator zero, or raises ``ZeroDivisionError`` when two meet."""
+    while len(dens) > 1:
+        paired_nums, paired_dens = [], []
+        for a, b, c, d in zip(nums[::2], dens[::2], nums[1::2], dens[1::2]):
+            g = gcd(b, d)
+            b_part, d_part = b // g, d // g
+            paired_nums.append(a * d_part + c * b_part)
+            paired_dens.append(b * d_part)
+        if len(dens) % 2:
+            paired_nums.append(nums[-1])
+            paired_dens.append(dens[-1])
+        nums, dens = paired_nums, paired_dens
+    return (nums[0], dens[0]) if dens else (0, 1)
+
+
 class _Evaluator:
     """Evaluates tree contributions at one concrete weight vector.
 
@@ -180,7 +202,7 @@ class _Evaluator:
     Every factor is an integer numerator and denominator at the integer
     weights ``p``, and the class sum makes each slice of trees one
     ``Fraction`` at the end, reduced once instead of once per multiply or
-    per tree.
+    per tree, after a balanced pairwise sum of the trees' integer terms.
 
     Edge factors recur across trees, so each one, whole, is memoized as an
     integer numerator and denominator, with the edge's two integer flags,
@@ -190,11 +212,13 @@ class _Evaluator:
     Everything else both sums need per label is one family of integer
     tables, computed once: the cofactors ``T_i / (p_i - p_j)``, with ``T_i``
     the tangent product, that put every reciprocal flag sum over ``T_i``,
-    the vertex constants ``T_i^2 * B_i``, and each insertion power's mark
+    the vertex constants ``T_i^2 * B_i``, and the insertion powers' mark
     coefficients over the common denominator ``L``, the lcm of the
-    ``T_i``.  :meth:`classes_total` sums a slice of unmarked trees, dividing
-    by the marks' ``L^k`` once; :meth:`shape_value` sums every labelling of
-    one shape from the same edge memo and tables, and shares the tables of
+    ``T_i``, packed into one integer per label.  :meth:`classes_total` sums
+    a slice of unmarked trees from flat per-degree tables of the memoized
+    edges, with a leaf folded into the entry of its edge, dividing by the
+    marks' ``L^k`` once; :meth:`shape_value` sums every labelling of one
+    shape from the same edge memo and tables, and shares the tables of
     equal subtrees across shapes.
 
     An instance depends on its weights, hypersurface degrees and insertions
@@ -222,16 +246,29 @@ class _Evaluator:
             tuple(ti // (pi - pj) if i != j else 0 for j, pj in enumerate(self.p))
             for i, (pi, ti) in enumerate(zip(self.p, tangent))
         )
-        # per distinct insertion power w: p_i^w * L / T_i per label, and the
-        # number of marks of that power; L^k is the marks' common denominator
+        # per distinct insertion power w, in increasing order, the number of
+        # marks of that power, and per label the mark coefficients
+        # p_i^w * L / T_i of every power packed into one integer, a field of
+        # _mark_shift bits per power, lowest power lowest; L^k is the marks'
+        # common denominator.  Over a tree, a power's mark sum
+        # sum_v R_v p_i^w L / T_i is L * sum_v r_v p_i^w with r_v the
+        # reciprocal flag sum, which adds up edge by edge to
+        # L * sum_e de * (p_i^w - p_j^w) / (p_i - p_j): at least 0, and
+        # below w * L * max(p)^w * d, so the fields never overlap below
+        # d = 2^64
         common = lcm(*tangent)
         scales = [common // ti for ti in tangent]
-        self._mark_coefficients = tuple(
-            (tuple(pi**w * si for pi, si in zip(self.p, scales)), insertions.count(w))
-            for w in sorted(set(insertions))
+        powers = sorted(set(insertions))
+        self._mark_counts = tuple(map(insertions.count, powers))
+        top = max(powers, default=0)
+        self._mark_shift = (top * common * max(self.p) ** top).bit_length() + 64
+        self._marks = tuple(
+            sum(pi**w * si << (k * self._mark_shift) for k, w in enumerate(powers))
+            for pi, si in zip(self.p, scales)
         )
         self._mark_denominator = common ** len(insertions)
         self._edges = {}
+        self._edge_tables = {}
         self._branch_tables = {}
 
     def _edge(self, i, j, de):
@@ -271,37 +308,100 @@ class _Evaluator:
             self._edges[j, i, de] = (flag_j, flag_i, num, den)
         return value
 
-    def _class_term(self, graph):
-        # (num, den) with num / den the tree's term, summed over the
+    def _tables(self, de):
+        # the edges of degree de as two flat tables indexed by i * (n+1) + j,
+        # i the label of one end and j the other's, None where i == j:
+        # _edge's (flag_i, flag_j, num, den), and the same edge with a leaf
+        # at j folded in, (flag_i, num * T_j^2 B_j, den * R_j^2, R_j * marks_j),
+        # where R_j = flag_j is the leaf's whole flag sum, T_j^2 B_j its
+        # vertex constant and R_j^2 the rest of its vertex factor's
+        # denominator, and marks_j the packed mark coefficients of label j
+        tables = self._edge_tables.get(de)
+        if tables is None:
+            edges, leaves = [], []
+            for i in range(len(self.p)):
+                for j, (vertex, marks) in enumerate(zip(self._vertex, self._marks)):
+                    if i == j:
+                        edges.append(None)
+                        leaves.append(None)
+                        continue
+                    flag_i, flag_j, num, den = edge = self._edge(i, j, de)
+                    edges.append(edge)
+                    leaves.append((flag_i, num * vertex, den * flag_j**2, flag_j * marks))
+            tables = self._edge_tables[de] = (edges, leaves)
+        return tables
+
+    def _plan(self, edges):
+        # what a tree's edges fix for every class of its shape: (parent,
+        # leaf, leaf table) per edge to a leaf, (u, v, edge table) per other
+        # edge, the vertices not folded into an edge as a leaf, and
+        # (vertex, val - 3) for those of them of valence other than 3.  An
+        # edge folds its second end if that is a leaf; a tree with one edge
+        # keeps its first end, as a vertex of valence 1
+        valence = [0] * (len(edges) + 1)
+        for u, v, _de in edges:
+            valence[u] += 1
+            valence[v] += 1
+        leaves, inner_edges, folded = [], [], set()
+        for u, v, de in edges:
+            edge_table, leaf_table = self._tables(de)
+            if valence[v] == 1:
+                leaves.append((u, v, leaf_table))
+                folded.add(v)
+            else:
+                inner_edges.append((u, v, edge_table))
+        inner = [v for v in range(len(valence)) if v not in folded]
+        unbalanced = [(v, valence[v] - 3) for v in inner if valence[v] != 3]
+        return leaves, inner_edges, inner, unbalanced
+
+    def _class_terms(self, graphs):
+        # ([num], [den]) with num / den each tree's term, summed over the
         # placements of the marks, times the mark denominator L^k; at a
         # vertex labelled i with flag sum R_v / T_i, num and den carry
         # T_i^2 * B_i * R_v^(val-3), and the edge factors the rest of the
         # vertex factor, 1 / B_i per flag
-        labels = graph.labels
-        nv = len(labels)
-        valence = [0] * nv
-        flag = [0] * nv
-        edges = self._edges
-        num = 1
-        den = graph.aut_order
-        for u, v, de in graph.edges:
-            key = (labels[u], labels[v], de)
-            flag_u, flag_v, edge_num, edge_den = edges.get(key) or self._edge(*key)
-            valence[u] += 1
-            valence[v] += 1
-            flag[u] += flag_u
-            flag[v] += flag_v
-            num *= edge_num
-            den *= edge_den
-        for label, val, r in zip(labels, valence, flag):
-            num *= self._vertex[label]
-            if val > 3:
-                num *= r ** (val - 3)
-            elif val < 3:
-                den *= r ** (3 - val)
-        for coefficients, count in self._mark_coefficients:
-            num *= sum(r * coefficients[label] for label, r in zip(labels, flag)) ** count
-        return num, den
+        m = len(self.p)
+        vertex, marks = self._vertex, self._marks
+        *lower, last = self._mark_counts or (0,)
+        shift = self._mark_shift
+        mask = (1 << shift) - 1
+        nums, dens = [], []
+        shape = None
+        for graph in graphs:
+            if graph.edges != shape:
+                shape = graph.edges
+                leaves, inner_edges, inner, unbalanced = self._plan(shape)
+            labels = graph.labels
+            flag = [0] * len(labels)
+            num, den, mark = 1, graph.aut_order, 0
+            for u, v, table in leaves:
+                flag_u, leaf_num, leaf_den, leaf_mark = table[labels[u] * m + labels[v]]
+                flag[u] += flag_u
+                num *= leaf_num
+                den *= leaf_den
+                mark += leaf_mark
+            for u, v, table in inner_edges:
+                flag_u, flag_v, edge_num, edge_den = table[labels[u] * m + labels[v]]
+                flag[u] += flag_u
+                flag[v] += flag_v
+                num *= edge_num
+                den *= edge_den
+            for v in inner:
+                label = labels[v]
+                num *= vertex[label]
+                mark += flag[v] * marks[label]
+            for v, excess in unbalanced:
+                if excess > 0:
+                    num *= flag[v] ** excess
+                else:
+                    den *= flag[v] ** -excess
+            # the packed mark sums, lowest power first
+            for count in lower:
+                num *= (mark & mask) ** count
+                mark >>= shift
+            nums.append(num * mark**last)
+            dens.append(den)
+        return nums, dens
 
     def classes_total(self, graphs) -> Fraction:
         """Sum of the contributions of the unmarked trees ``graphs``, each
@@ -318,19 +418,23 @@ class _Evaluator:
         vertex factor is ``T_i^2 R_v^(val-3) / B_i^(val-1)``, its bases
         carried by the edge factors and ``T_i^2 B_i`` by the vertex, and a
         mark's vertex sum of power ``w`` is ``sum_v R_v p_i^w (L / T_i)``
-        over ``L = lcm(T_0, ..., T_n)``.  The marks' denominator ``L^k`` is
-        the same for every tree, so the trees' integer terms are added over
-        the running lcm of their denominators, one ``gcd`` per tree, and
-        divided by ``L^k`` in the slice's one ``Fraction``.  At a
-        :func:`_degenerate` vector a vanishing factor zeroes that lcm, and
-        the ``Fraction`` raises ``ZeroDivisionError``.
+        over ``L = lcm(T_0, ..., T_n)``.
+
+        Classes of one shape come in runs that share one ``edges`` tuple,
+        so the valences, the leaves and the vertices of valence other than
+        3 are found once per run.  Edges are read from flat per-degree
+        tables, and a leaf is folded into its edge's entry, its vertex
+        constant, ``1 / R_j^2`` and mark terms included, so it costs one
+        lookup.  The mark sums of all powers ride in one integer, a field
+        per power.  The marks' denominator ``L^k`` is the same for every
+        tree, so the trees' integer terms are added by a balanced pairwise
+        sum, one ``gcd`` per pair per round, and divided by ``L^k`` in the
+        slice's one ``Fraction``.  At a :func:`_degenerate` vector a
+        vanishing factor zeroes a denominator, which stays zero through the
+        sum, and the ``Fraction`` (or the sum's own division by a zero
+        ``gcd``) raises ``ZeroDivisionError``.
         """
-        num, den = 0, 1
-        for graph in graphs:
-            term_num, term_den = self._class_term(graph)
-            g = gcd(den, term_den)
-            num = num * (term_den // g) + term_num * (den // g)
-            den *= term_den // g
+        num, den = _pairwise_sum(*self._class_terms(graphs))
         return Fraction(num, den * self._mark_denominator)
 
     def _vertex_sum(self, label, rest):

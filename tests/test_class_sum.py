@@ -7,14 +7,18 @@ the sum of the original Fraction evaluator over the classes of the original
 canonical-key enumerator, which share no code with it, for one slice and for
 two, in pools started by fork, spawn and forkserver; ``_degenerate`` must
 flag a vector exactly when the reference sum degenerates on it.  A slice's
-running-lcm total must equal the sum of its classes' own totals, and each
-edge's memo entry must read the same from either end.  The string and
-divisor axioms and the plane-points values check the mark sums against the
-geometry, and every point, line and higher-codimension target of a grid on
-P^2 to P^5 against the Kontsevich-Manin recursion.
+pairwise total must equal the sum of its classes' own totals in any order,
+a leaf folded into its edge's table entry must give the reference's term,
+at a root of valence 1 and with marks of two powers, one vanishing class
+must still raise, and each edge's memo entry must read the same from
+either end.  The string and divisor axioms and the plane-points values
+check the mark sums against the geometry, and every point, line and
+higher-codimension target of a grid on P^2 to P^5 against the
+Kontsevich-Manin recursion.
 """
 
 import multiprocessing
+import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement
@@ -22,7 +26,7 @@ from math import prod
 
 import pytest
 
-from gwlocal import CITarget, WeightVector, sample_weights, sum_invariant, wdvv_p2
+from gwlocal import CITarget, FixedGraph, WeightVector, sample_weights, sum_invariant, wdvv_p2
 from gwlocal import localization
 from gwlocal.localization import _degenerate, _Evaluator, _summands, _totals_at
 
@@ -158,9 +162,10 @@ def test_degenerates_with_reference_class_sum(target, weights, degenerate):
 
 
 class TestSliceSum:
-    """``classes_total`` adds its classes' integer terms over a running lcm,
-    and reads each edge's flags and factor from one memo keyed by the
-    ordered labels."""
+    """``classes_total`` adds its classes' integer terms by a balanced
+    pairwise sum, reads each edge from a flat per-degree table with any leaf
+    at its end folded in, and keeps each edge's flags and factor in one memo
+    keyed by the ordered labels."""
 
     @pytest.mark.parametrize(
         "target", [CITarget(2, (), 3, (2,) * 8), CITarget(3, (), 2, (3, 3, 2, 2, 2, 2))], ids=_name
@@ -172,14 +177,85 @@ class TestSliceSum:
             target.degrees,
             target.insertions,
         )
-        # terms with negative denominators exercise the signs of the running lcm
-        assert any(evaluator._class_term(graph)[1] < 0 for graph in graphs)
+        # terms with negative denominators exercise the signs of the pairwise sum
+        assert any(den < 0 for den in evaluator._class_terms(graphs)[1])
         singles = [evaluator.classes_total((graph,)) for graph in graphs]
         assert evaluator.classes_total(graphs) == sum(singles)
         assert evaluator.classes_total(graphs[::-1]) == sum(singles)
 
     def test_empty_slice_is_zero(self):
         assert _Evaluator(sample_weights(4, 2), (), (2,) * 8).classes_total(()) == 0
+
+    @pytest.mark.parametrize(
+        "target", [CITarget(2, (), 4, (2,) * 11), CITarget(3, (), 2, (3, 3, 2, 2, 2, 2))], ids=_name
+    )
+    def test_shuffled_slice(self, target):
+        # classes of several shapes, out of their runs of one shape each
+        graphs = _summands(target)[1]
+        assert len({graph.edges for graph in graphs}) > 1
+        shuffled = list(graphs)
+        random.Random(0).shuffle(shuffled)
+        evaluator = _Evaluator(sample_weights(4, target.ambient_dim), target.degrees, target.insertions)
+        singles = sum(evaluator.classes_total((graph,)) for graph in graphs)
+        assert evaluator.classes_total(shuffled) == evaluator.classes_total(graphs) == singles
+
+    @pytest.mark.parametrize(
+        "target, graph",
+        [
+            # one edge: the root's label above and below the leaf's
+            (CITarget(2, (), 1, (2, 2)), FixedGraph((2, 0), ((0, 1, 1),), 1)),
+            (CITarget(2, (), 1, (2, 2)), FixedGraph((0, 2), ((0, 1, 1),), 1)),
+            (CITarget(2, (), 2, (2,) * 5), FixedGraph((2, 1), ((0, 1, 2),), 2)),
+            (CITarget(2, (), 2, (2,) * 5), FixedGraph((1, 2), ((0, 1, 2),), 2)),
+            # a chain whose root is an end, a leaf not folded into its edge
+            (CITarget(2, (), 2, (2,) * 5), FixedGraph((2, 0, 1), ((0, 1, 1), (1, 2, 1)), 1)),
+            (CITarget(2, (), 2, (2,) * 5), FixedGraph((0, 2, 1), ((0, 1, 1), (1, 2, 1)), 1)),
+        ],
+        ids=["d1-high-root", "d1-low-root", "d2-high-root", "d2-low-root", "chain-high", "chain-low"],
+    )
+    def test_root_of_valence_one(self, target, graph):
+        weights = sample_weights(4, target.ambient_dim)
+        evaluator = _Evaluator(weights, target.degrees, target.insertions)
+        expected = ReferenceEvaluator(weights, target).summed_value(graph)
+        assert evaluator.classes_total((graph,)) == expected
+
+    def test_leaves_carry_two_powers(self):
+        # the vertex sums of the four marks of power 2 and the two of power
+        # 3 share one packed integer per class, and leaves add to both
+        target = CITarget(3, (), 2, (3, 3, 2, 2, 2, 2))
+        weights = sample_weights(4, 3)
+        evaluator = _Evaluator(weights, target.degrees, target.insertions)
+        assert evaluator._mark_counts == (4, 2)
+        reference = ReferenceEvaluator(weights, target)
+        graphs = _summands(target)[1]
+        for graph in graphs:
+            assert evaluator.classes_total((graph,)) == reference.summed_value(graph), graph
+        assert evaluator.classes_total(graphs) == sum(map(reference.summed_value, graphs))
+
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_one_vanishing_class_raises(self, position):
+        # at (1, 2, 3) the degree-2 edge between labels 0 and 2 has the
+        # factor 1 + 3 - 2 * 2 = 0 (as in test_localization's TestDegeneracy)
+        target = CITarget(2, (), 2, (2,) * 5)
+        weights = WeightVector((1, 2, 3))
+        evaluator = _Evaluator(weights, target.degrees, target.insertions)
+        reference = ReferenceEvaluator(weights, target)
+        graphs = _summands(target)[1]
+        (vanishing,) = [
+            graph for graph in graphs if graph.edges == ((0, 1, 2),) and set(graph.labels) == {0, 2}
+        ]
+        fine = []
+        for graph in graphs:
+            try:
+                fine.append((graph, reference.summed_value(graph)))
+            except DegenerateWeights:
+                pass
+        assert len(fine) > 2
+        fine, values = zip(*fine)
+        assert evaluator.classes_total(fine) == sum(values)
+        at = {"first": 0, "middle": len(fine) // 2, "last": len(fine)}[position]
+        with pytest.raises(ZeroDivisionError):
+            evaluator.classes_total(fine[:at] + (vanishing,) + fine[at:])
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["low-first", "high-first"])
     def test_edge_in_both_orders(self, reverse):
@@ -228,6 +304,15 @@ class TestPlanePoints:
         for d, value in [(4, 620), (5, 87304)]:
             assert sum_invariant(CITarget(2, (), d, (2,) * (3 * d - 1))).value == value
             assert recursion[d] == kontsevich_manin(2, d, (2,) * (3 * d - 1)) == value
+
+    @pytest.mark.parametrize(
+        "d, value, classes", [(6, 26312976, 2952), (7, 14616808192, 13800)], ids=["d6", "d7"]
+    )
+    def test_plane_curves_at_the_pairwise_sums_scale(self, d, value, classes):
+        # slices of thousands of classes, where the pairwise sum pays off
+        result = sum_invariant(CITarget(2, (), d, (2,) * (3 * d - 1)))
+        assert (result.value, result.graph_count) == (value, classes)
+        assert wdvv_p2(d)[d] == kontsevich_manin(2, d, (2,) * (3 * d - 1)) == value
 
     def test_space_curves_through_lines(self):
         # conics and twisted cubics in P3 meeting 8 and 12 general lines
