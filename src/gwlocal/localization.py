@@ -33,14 +33,13 @@ small integer over ``T_i``.  The vertex factor is that integer's power
 times ``T_i^2 / B_i^(val-1)``, ``B_i`` the hypersurface base, and on a tree
 the bases ``B_v^val`` multiply to the product of ``B_i * B_j`` over the
 edges; so each vertex carries the per-label constant ``T_i^2 * B_i`` and
-each edge factor divides by its ends' ``B_i * B_j``.  In the class sum each
-mark's vertex sum is an integer over ``L = lcm(T_0, ..., T_n)``; the marks'
-common denominator ``L^k`` is the same for every class, so the class sum
-adds a slice's integer terms by a balanced pairwise sum, one ``gcd`` per
-pair per round, and makes one ``Fraction`` per slice, divided by ``L^k``.
-It reads edges from flat per-degree tables, in which each edge to a leaf
-also carries the leaf's whole vertex factor and mark terms, so a leaf costs
-one lookup.
+each edge factor divides by its ends' ``B_i * B_j``.  In the class sum a
+mark's vertex sum adds up edge by edge to an integer, so each class's term
+is an integer numerator and denominator; the class sum adds a slice's
+terms by a balanced pairwise sum, one ``gcd`` per pair per round, and makes
+one ``Fraction`` per slice.  It reads edges from flat per-degree tables, in
+which each edge to a leaf also carries the leaf's whole vertex factor, so a
+leaf costs one lookup.
 
 A weight vector degenerates when a tree has a vanishing denominator
 factor; :func:`_degenerate` decides that from the weights, before any sum.
@@ -64,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, prod
 
 from .graphs import decorated_shapes, enumerate_graphs
 from .targets import (
@@ -212,14 +211,12 @@ class _Evaluator:
     Everything else both sums need per label is one family of integer
     tables, computed once: the cofactors ``T_i / (p_i - p_j)``, with ``T_i``
     the tangent product, that put every reciprocal flag sum over ``T_i``,
-    the vertex constants ``T_i^2 * B_i``, and the insertion powers' mark
-    coefficients over the common denominator ``L``, the lcm of the
-    ``T_i``, packed into one integer per label.  :meth:`classes_total` sums
+    and the vertex constants ``T_i^2 * B_i``.  :meth:`classes_total` sums
     a slice of unmarked trees from flat per-degree tables of the memoized
-    edges, with a leaf folded into the entry of its edge, dividing by the
-    marks' ``L^k`` once; :meth:`shape_value` sums every labelling of one
-    shape from the same edge memo and tables, and shares the tables of
-    equal subtrees across shapes.
+    edges and their integer mark terms, with a leaf folded into the entry
+    of its edge; :meth:`shape_value` sums every labelling of one shape from
+    the same edge memo and tables, and shares the tables of equal subtrees
+    across shapes.
 
     An instance depends on its weights, hypersurface degrees and insertions
     alone, so one serves every curve degree (see the module docstring).
@@ -246,27 +243,10 @@ class _Evaluator:
             tuple(ti // (pi - pj) if i != j else 0 for j, pj in enumerate(self.p))
             for i, (pi, ti) in enumerate(zip(self.p, tangent))
         )
-        # per distinct insertion power w, in increasing order, the number of
-        # marks of that power, and per label the mark coefficients
-        # p_i^w * L / T_i of every power packed into one integer, a field of
-        # _mark_shift bits per power, lowest power lowest; L^k is the marks'
-        # common denominator.  Over a tree, a power's mark sum
-        # sum_v R_v p_i^w L / T_i is L * sum_v r_v p_i^w with r_v the
-        # reciprocal flag sum, which adds up edge by edge to
-        # L * sum_e de * (p_i^w - p_j^w) / (p_i - p_j): at least 0, and
-        # below w * L * max(p)^w * d, so the fields never overlap below
-        # d = 2^64
-        common = lcm(*tangent)
-        scales = [common // ti for ti in tangent]
-        powers = sorted(set(insertions))
-        self._mark_counts = tuple(map(insertions.count, powers))
-        top = max(powers, default=0)
-        self._mark_shift = (top * common * max(self.p) ** top).bit_length() + 64
-        self._marks = tuple(
-            sum(pi**w * si << (k * self._mark_shift) for k, w in enumerate(powers))
-            for pi, si in zip(self.p, scales)
-        )
-        self._mark_denominator = common ** len(insertions)
+        # the distinct insertion powers, in increasing order, and the number
+        # of marks of each
+        self._powers = tuple(sorted(set(insertions)))
+        self._mark_counts = tuple(map(insertions.count, self._powers))
         self._edges = {}
         self._edge_tables = {}
         self._branch_tables = {}
@@ -311,23 +291,26 @@ class _Evaluator:
     def _tables(self, de):
         # the edges of degree de as two flat tables indexed by i * (n+1) + j,
         # i the label of one end and j the other's, None where i == j:
-        # _edge's (flag_i, flag_j, num, den), and the same edge with a leaf
-        # at j folded in, (flag_i, num * T_j^2 B_j, den * R_j^2, R_j * marks_j),
-        # where R_j = flag_j is the leaf's whole flag sum, T_j^2 B_j its
-        # vertex constant and R_j^2 the rest of its vertex factor's
-        # denominator, and marks_j the packed mark coefficients of label j
+        # _edge's (flag_i, flag_j, num, den) with the edge's mark terms, and
+        # the same edge with a leaf at j folded in,
+        # (flag_i, num * T_j^2 B_j, den * R_j^2, mark terms), where
+        # R_j = flag_j is the leaf's whole flag sum, T_j^2 B_j its vertex
+        # constant and R_j^2 the rest of its vertex factor's denominator.
+        # The mark term of power w is de * (p_i^w - p_j^w) / (p_i - p_j),
+        # an integer, one per power (see classes_total)
         tables = self._edge_tables.get(de)
         if tables is None:
             edges, leaves = [], []
-            for i in range(len(self.p)):
-                for j, (vertex, marks) in enumerate(zip(self._vertex, self._marks)):
+            for i, pi in enumerate(self.p):
+                for j, (pj, vertex) in enumerate(zip(self.p, self._vertex)):
                     if i == j:
                         edges.append(None)
                         leaves.append(None)
                         continue
-                    flag_i, flag_j, num, den = edge = self._edge(i, j, de)
-                    edges.append(edge)
-                    leaves.append((flag_i, num * vertex, den * flag_j**2, flag_j * marks))
+                    flag_i, flag_j, num, den = self._edge(i, j, de)
+                    marks = tuple(de * (pi**w - pj**w) // (pi - pj) for w in self._powers)
+                    edges.append((flag_i, flag_j, num, den, marks))
+                    leaves.append((flag_i, num * vertex, den * flag_j**2, marks))
             tables = self._edge_tables[de] = (edges, leaves)
         return tables
 
@@ -356,15 +339,11 @@ class _Evaluator:
 
     def _class_terms(self, graphs):
         # ([num], [den]) with num / den each tree's term, summed over the
-        # placements of the marks, times the mark denominator L^k; at a
-        # vertex labelled i with flag sum R_v / T_i, num and den carry
-        # T_i^2 * B_i * R_v^(val-3), and the edge factors the rest of the
-        # vertex factor, 1 / B_i per flag
+        # placements of the marks; at a vertex labelled i with flag sum
+        # R_v / T_i, num and den carry T_i^2 * B_i * R_v^(val-3), and the
+        # edge factors the rest of the vertex factor, 1 / B_i per flag
         m = len(self.p)
-        vertex, marks = self._vertex, self._marks
-        *lower, last = self._mark_counts or (0,)
-        shift = self._mark_shift
-        mask = (1 << shift) - 1
+        vertex, counts = self._vertex, self._mark_counts
         nums, dens = [], []
         shape = None
         for graph in graphs:
@@ -373,33 +352,31 @@ class _Evaluator:
                 leaves, inner_edges, inner, unbalanced = self._plan(shape)
             labels = graph.labels
             flag = [0] * len(labels)
-            num, den, mark = 1, graph.aut_order, 0
+            num, den, marks = 1, graph.aut_order, []
             for u, v, table in leaves:
-                flag_u, leaf_num, leaf_den, leaf_mark = table[labels[u] * m + labels[v]]
+                flag_u, leaf_num, leaf_den, edge_marks = table[labels[u] * m + labels[v]]
                 flag[u] += flag_u
                 num *= leaf_num
                 den *= leaf_den
-                mark += leaf_mark
+                marks.append(edge_marks)
             for u, v, table in inner_edges:
-                flag_u, flag_v, edge_num, edge_den = table[labels[u] * m + labels[v]]
+                flag_u, flag_v, edge_num, edge_den, edge_marks = table[labels[u] * m + labels[v]]
                 flag[u] += flag_u
                 flag[v] += flag_v
                 num *= edge_num
                 den *= edge_den
+                marks.append(edge_marks)
             for v in inner:
-                label = labels[v]
-                num *= vertex[label]
-                mark += flag[v] * marks[label]
+                num *= vertex[labels[v]]
             for v, excess in unbalanced:
                 if excess > 0:
                     num *= flag[v] ** excess
                 else:
                     den *= flag[v] ** -excess
-            # the packed mark sums, lowest power first
-            for count in lower:
-                num *= (mark & mask) ** count
-                mark >>= shift
-            nums.append(num * mark**last)
+            # per power, the mark sum is the sum of the edges' mark terms
+            for count, terms in zip(counts, zip(*marks)):
+                num *= sum(terms) ** count
+            nums.append(num)
             dens.append(den)
         return nums, dens
 
@@ -416,29 +393,30 @@ class _Evaluator:
         At a vertex labelled ``i`` the reciprocal flag sum is ``R_v / T_i``,
         with ``R_v`` the integer ``sum_f de_f * T_i / (p_i - p_j_f)``, so the
         vertex factor is ``T_i^2 R_v^(val-3) / B_i^(val-1)``, its bases
-        carried by the edge factors and ``T_i^2 B_i`` by the vertex, and a
-        mark's vertex sum of power ``w`` is ``sum_v R_v p_i^w (L / T_i)``
-        over ``L = lcm(T_0, ..., T_n)``.
+        carried by the edge factors and ``T_i^2 B_i`` by the vertex.  A
+        mark's vertex sum of power ``w`` is ``sum_v R_v p_i^w / T_i``, and
+        each edge of degree ``de`` between labels ``i`` and ``j`` puts
+        ``de p_i^w / (p_i - p_j)`` into it at one end and
+        ``de p_j^w / (p_j - p_i)`` at the other, so it is the sum over the
+        edges of the integers ``de (p_i^w - p_j^w) / (p_i - p_j)``, the
+        edges' mark terms.
 
         Classes of one shape come in runs that share one ``edges`` tuple,
         so the valences, the leaves and the vertices of valence other than
-        3 are found once per run.  Edges are read from flat per-degree
-        tables, and a leaf is folded into its edge's entry, its vertex
-        constant, ``1 / R_j^2`` and mark terms included, so it costs one
-        lookup.  The mark sums of all powers ride in one integer, a field
-        per power.  The marks' denominator ``L^k`` is the same for every
-        tree, so the trees' integer terms are added by a balanced pairwise
-        sum, one ``gcd`` per pair per round, and divided by ``L^k`` in the
-        slice's one ``Fraction``.  At a :func:`_degenerate` vector a
-        vanishing factor zeroes a denominator, which stays zero through the
-        sum, and the ``Fraction`` (or the sum's own division by a zero
-        ``gcd``) raises ``ZeroDivisionError``.
+        3 are found once per run.  Edges are read, with their mark terms,
+        from flat per-degree tables, and a leaf is folded into its edge's
+        entry, its vertex constant and ``1 / R_j^2`` included, so it costs
+        one lookup.  The trees' integer terms are added by a balanced
+        pairwise sum, one ``gcd`` per pair per round, into the slice's one
+        ``Fraction``.  At a :func:`_degenerate` vector a vanishing factor
+        zeroes a denominator, which stays zero through the sum, and the
+        ``Fraction`` (or the sum's own division by a zero ``gcd``) raises
+        ``ZeroDivisionError``.
         """
-        num, den = _pairwise_sum(*self._class_terms(graphs))
-        return Fraction(num, den * self._mark_denominator)
+        return Fraction(*_pairwise_sum(*self._class_terms(graphs)))
 
     def _vertex_sum(self, label, rest):
-        # the vertex part T_i^2 B_i (r + sum_f R_f)^(val-3) of _class_term
+        # the vertex part T_i^2 B_i (r + sum_f R_f)^(val-3) of _class_terms
         # at a vertex labelled i, summed over the labels behind
         # all of its flags but one, as a function of the integer
         # r = de * cof[i][j] of that remaining flag: rest lists the branches

@@ -1,20 +1,20 @@
 """The engine's class sum, a slice at a time, against the reference class sum.
 
 For a target with insertions the engine sums a slice of tree classes at a
-weight vector with ``_Evaluator.classes_total``, which divides the marks'
-common denominator ``L^k`` out once per slice.  Here its totals must equal
-the sum of the original Fraction evaluator over the classes of the original
-canonical-key enumerator, which share no code with it, for one slice and for
-two, in pools started by fork, spawn and forkserver; ``_degenerate`` must
-flag a vector exactly when the reference sum degenerates on it.  A slice's
-pairwise total must equal the sum of its classes' own totals in any order,
-a leaf folded into its edge's table entry must give the reference's term,
-at a root of valence 1 and with marks of two powers, one vanishing class
-must still raise, and each edge's memo entry must read the same from
-either end.  The string and divisor axioms and the plane-points values
-check the mark sums against the geometry, and every point, line and
-higher-codimension target of a grid on P^2 to P^5 against the
-Kontsevich-Manin recursion.
+weight vector with ``_Evaluator.classes_total``, which adds up each mark's
+vertex sum edge by edge and the classes' terms pairwise.  Here its totals
+must equal the sum of the original Fraction evaluator over the classes of
+the original canonical-key enumerator, which share no code with it, for one
+slice and for two, in pools started by fork, spawn and forkserver;
+``_degenerate`` must flag a vector exactly when the reference sum
+degenerates on it.  A slice's pairwise total must equal the sum of its
+classes' own totals in any order, a leaf folded into its edge's table entry
+must give the reference's term, at a root of valence 1 and with marks of two
+powers, one vanishing class must still raise, and each edge's memo entry
+must read the same from either end.  The string and divisor axioms and the
+plane-points values check the mark sums against the geometry, and every
+point, line and higher-codimension target of a grid on P^2 to P^5 against
+the Kontsevich-Manin recursion.
 """
 
 import multiprocessing
@@ -220,8 +220,8 @@ class TestSliceSum:
         assert evaluator.classes_total((graph,)) == expected
 
     def test_leaves_carry_two_powers(self):
-        # the vertex sums of the four marks of power 2 and the two of power
-        # 3 share one packed integer per class, and leaves add to both
+        # the four marks of power 2 and the two of power 3 have one vertex
+        # sum per power, and every edge, folded leaf or not, adds to both
         target = CITarget(3, (), 2, (3, 3, 2, 2, 2, 2))
         weights = sample_weights(4, 3)
         evaluator = _Evaluator(weights, target.degrees, target.insertions)
@@ -256,6 +256,23 @@ class TestSliceSum:
         at = {"first": 0, "middle": len(fine) // 2, "last": len(fine)}[position]
         with pytest.raises(ZeroDivisionError):
             evaluator.classes_total(fine[:at] + (vanishing,) + fine[at:])
+
+    def test_mark_terms_are_the_ends_shares(self):
+        # an edge's mark term of power w is what its two flags put into the
+        # vertex sum, flag_i p_i^w / T_i + flag_j p_j^w / T_j
+        weights = sample_weights(4, 3)
+        p = weights.weights
+        evaluator = _Evaluator(weights, (), (0, 1, 3, 3, 2))
+        tangent = [prod(pi - pk for pk in p if pk != pi) for pi in p]
+        for de in (1, 2, 3):
+            edges, leaves = evaluator._tables(de)
+            for i, j in combinations(range(4), 2):
+                flag_i, flag_j, _num, _den, marks = edges[i * 4 + j]
+                assert leaves[i * 4 + j][3] == marks
+                assert marks == tuple(
+                    Fraction(flag_i * p[i] ** w, tangent[i]) + Fraction(flag_j * p[j] ** w, tangent[j])
+                    for w in (0, 1, 2, 3)
+                )
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["low-first", "high-first"])
     def test_edge_in_both_orders(self, reverse):
@@ -300,19 +317,18 @@ class TestAxioms:
 
 class TestPlanePoints:
     def test_plane_curves_through_points_match_wdvv(self):
-        recursion = wdvv_p2(5)
-        for d, value in [(4, 620), (5, 87304)]:
-            assert sum_invariant(CITarget(2, (), d, (2,) * (3 * d - 1))).value == value
+        # d=6 and 7 sum slices of thousands of classes, the scale the
+        # pairwise sum is for
+        recursion = wdvv_p2(7)
+        for d, value, classes in [
+            (4, 620, 159),
+            (5, 87304, 648),
+            (6, 26312976, 2952),
+            (7, 14616808192, 13800),
+        ]:
+            result = sum_invariant(CITarget(2, (), d, (2,) * (3 * d - 1)))
+            assert (result.value, result.graph_count) == (value, classes)
             assert recursion[d] == kontsevich_manin(2, d, (2,) * (3 * d - 1)) == value
-
-    @pytest.mark.parametrize(
-        "d, value, classes", [(6, 26312976, 2952), (7, 14616808192, 13800)], ids=["d6", "d7"]
-    )
-    def test_plane_curves_at_the_pairwise_sums_scale(self, d, value, classes):
-        # slices of thousands of classes, where the pairwise sum pays off
-        result = sum_invariant(CITarget(2, (), d, (2,) * (3 * d - 1)))
-        assert (result.value, result.graph_count) == (value, classes)
-        assert wdvv_p2(d)[d] == kontsevich_manin(2, d, (2,) * (3 * d - 1)) == value
 
     def test_space_curves_through_lines(self):
         # conics and twisted cubics in P3 meeting 8 and 12 general lines
