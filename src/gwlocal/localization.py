@@ -25,8 +25,8 @@ equal branches in each shape.  A mark-count state would carry insertions
 through the same programme, but it is far slower than the class sum on
 point-insertion targets, so those keep the class sum.
 
-Both sums read one set of per-label integer tables, and every denominator
-in them is fixed per label.  A flag of degree ``de`` at a vertex labelled
+Both sums read one family of integer tables, and every denominator in
+them is fixed per label.  A flag of degree ``de`` at a vertex labelled
 ``i`` towards label ``j`` is the integer ``de * T_i / (p_i - p_j)`` over
 the tangent product ``T_i``, so the reciprocal flag sum at the vertex is a
 small integer over ``T_i``.  The vertex factor is that integer's power
@@ -37,9 +37,9 @@ each edge factor divides by its ends' ``B_i * B_j``.  In the class sum a
 mark's vertex sum adds up edge by edge to an integer, so each class's term
 is an integer numerator and denominator; the class sum adds a slice's
 terms by a balanced pairwise sum, one ``gcd`` per pair per round, and makes
-one ``Fraction`` per slice.  It reads edges from flat per-degree tables, in
-which each edge to a leaf also carries the leaf's whole vertex factor, so a
-leaf costs one lookup.
+one ``Fraction`` per slice.  Both sums read edges from flat per-degree
+tables, in which each edge to a leaf also carries the leaf's whole vertex
+factor, so a leaf costs one lookup.
 
 A weight vector degenerates when a tree has a vanishing denominator
 factor; :func:`_degenerate` decides that from the weights, before any sum.
@@ -53,7 +53,8 @@ serial calls and their threads, and each pool worker its own, for the life
 of the pool (a forked worker starts from a copy of the caller's).  So a loop
 over degrees at the same seeds builds each distinct vector's tables once,
 and values and draws are those of a call with nothing kept.  At the bound,
-eight quintic d=8 evaluators hold 3.5 MB (``tracemalloc``, Python 3.11).
+eight quintic d=8 evaluators hold 3.5 MB, the ``tracemalloc`` memory freed
+by clearing the cache after a quintic d=8 call at seeds 1..8 (Python 3.11).
 """
 
 from __future__ import annotations
@@ -125,10 +126,13 @@ def sample_weights(seed: int, n: int, attempt: int = 0) -> WeightVector:
     yields the same vector.  Bump ``attempt`` to stay in the same lineage
     while avoiding a degenerate specialization.  Raises
     :class:`~gwlocal.targets.InputError` unless all three are integers, not
-    ``bool``, and ``n + 1`` weights fit in ``1..WEIGHT_BOUND``.
+    ``bool``, ``n`` is at least 1 and ``n + 1`` weights fit in
+    ``1..WEIGHT_BOUND``.
     """
     if not all(map(_is_integer, (seed, n, attempt))):
         raise InputError(f"seed, n and attempt must be integers, got {seed!r}, {n!r}, {attempt!r}")
+    if n < 1:
+        raise InputError(f"n must be at least 1, got {n}")
     if n + 1 > WEIGHT_BOUND:
         raise InputError(
             f"n = {n} needs {n + 1} distinct weights, more than WEIGHT_BOUND = {WEIGHT_BOUND}"
@@ -203,20 +207,19 @@ class _Evaluator:
     ``Fraction`` at the end, reduced once instead of once per multiply or
     per tree, after a balanced pairwise sum of the trees' integer terms.
 
-    Edge factors recur across trees, so each one, whole, is memoized as an
-    integer numerator and denominator, with the edge's two integer flags,
-    under both orders of its (label, label, degree); it carries the
+    Edge factors recur across trees, so the edges of each degree are
+    computed once, into flat tables indexed by both orders of their labels:
+    each entry holds the edge factor, whole, as an integer numerator and
+    denominator, the edge's two integer flags ``de * T_i / (p_i - p_j)``,
+    with ``T_i`` the tangent product, that put every reciprocal flag sum
+    over ``T_i``, and its integer mark terms, and a second table folds a
+    leaf at the far end into its edge's entry.  The edge factor carries the
     division by its ends' hypersurface bases ``B_i * B_j`` that the vertex
-    factors ``T_i^2 R_v^(val-3) / B_i^(val-1)`` would otherwise make.
-    Everything else both sums need per label is one family of integer
-    tables, computed once: the cofactors ``T_i / (p_i - p_j)``, with ``T_i``
-    the tangent product, that put every reciprocal flag sum over ``T_i``,
-    and the vertex constants ``T_i^2 * B_i``.  :meth:`classes_total` sums
-    a slice of unmarked trees from flat per-degree tables of the memoized
-    edges and their integer mark terms, with a leaf folded into the entry
-    of its edge; :meth:`shape_value` sums every labelling of one shape from
-    the same edge memo and tables, and shares the tables of equal subtrees
-    across shapes.
+    factors ``T_i^2 R_v^(val-3) / B_i^(val-1)`` would otherwise make; the
+    vertex constants ``T_i^2 * B_i`` are the one other table.
+    :meth:`classes_total` sums a slice of unmarked trees from the edge
+    tables; :meth:`shape_value` sums every labelling of one shape from the
+    same tables, and shares the tables of equal subtrees across shapes.
 
     An instance depends on its weights, hypersurface degrees and insertions
     alone, so one serves every curve degree (see the module docstring).
@@ -231,62 +234,49 @@ class _Evaluator:
         # per label: the tangent product T_i = prod_{k != i} (p_i - p_k), and
         # T_i^2 * B_i, with B_i = prod_a a * p_i the hypersurface base, the
         # part of the vertex factor fixed by the label alone
-        tangent = tuple(
+        self._tangent = tuple(
             prod(pi - pk for k, pk in enumerate(self.p) if k != i) for i, pi in enumerate(self.p)
         )
         self._vertex = tuple(
-            ti * ti * prod(a * pi for a in degrees) for pi, ti in zip(self.p, tangent)
-        )
-        # [i][j]: the cofactor T_i / (p_i - p_j), an integer; a flag of degree
-        # de at label i towards label j has reciprocal weight de * [i][j] / T_i
-        self._cofactor = tuple(
-            tuple(ti // (pi - pj) if i != j else 0 for j, pj in enumerate(self.p))
-            for i, (pi, ti) in enumerate(zip(self.p, tangent))
+            ti * ti * prod(a * pi for a in degrees) for pi, ti in zip(self.p, self._tangent)
         )
         # the distinct insertion powers, in increasing order, and the number
         # of marks of each
         self._powers = tuple(sorted(set(insertions)))
         self._mark_counts = tuple(map(insertions.count, self._powers))
-        self._edges = {}
         self._edge_tables = {}
         self._branch_tables = {}
 
     def _edge(self, i, j, de):
         # (flag_i, flag_j, num, den) for an edge of degree de from label i to
-        # label j: the integers de * cof[i][j] and de * cof[j][i], its ends'
-        # reciprocal flag weights over T_i and T_j, and the edge factor
-        # num / den: -de / (p_i - p_j)^2, the division by both flag weights
-        # with one de of the symmetry divisor, times prod_a bundle * normal
-        # over B_i * B_j, the ends' hypersurface bases that the vertex
-        # factors leave to the edges.  The bases are the c = 0 and c = a*de
-        # factors a * p_j and a * p_i of the hypersurface-section weights,
-        # so what remains of those is
+        # label j: the integers de * T_i / (p_i - p_j) and
+        # de * T_j / (p_j - p_i), its ends' reciprocal flag weights over T_i
+        # and T_j, and the edge factor num / den: -de / (p_i - p_j)^2, the
+        # division by both flag weights with one de of the symmetry divisor,
+        # times prod_a bundle * normal over B_i * B_j, the ends' hypersurface
+        # bases that the vertex factors leave to the edges.  The bases are
+        # the c = 0 and c = a*de factors a * p_j and a * p_i of the
+        # hypersurface-section weights, so what remains of those is
         #   bundle = prod_{c=1..a*de-1} (c*p_i + (a*de - c)*p_j) / de
         # and the edge block of the inverse normal-bundle euler class
         #   normal = (-1)^de * de^(2de) / ((de!)^2 (p_i - p_j)^(2de))
         #     * prod_{k != i,j} prod_{c=0..de} de / (c*p_i + (de-c)*p_j - de*p_k)
-        # The factor is symmetric in i and j, so it is computed once per
-        # unordered pair and memoized under both orders, the flags swapped
-        key = (i, j, de)
-        value = self._edges.get(key)
-        if value is None:
-            pi, pj = self.p[i], self.p[j]
-            factors = (len(self.p) - 2) * (de + 1)
-            num = (-1) ** (de + 1) * de ** (2 * de + 1 + factors)
-            den = factorial(de) ** 2 * (pi - pj) ** (2 * de + 2)
-            for a in self.degrees:
-                m = a * de
-                for c in range(1, m):
-                    num *= c * pi + (m - c) * pj
-                den *= de ** (m - 1)
-            for k, pk in enumerate(self.p):
-                if k != i and k != j:
-                    for c in range(de + 1):
-                        den *= c * pi + (de - c) * pj - de * pk
-            flag_i, flag_j = de * self._cofactor[i][j], de * self._cofactor[j][i]
-            value = self._edges[key] = (flag_i, flag_j, num, den)
-            self._edges[j, i, de] = (flag_j, flag_i, num, den)
-        return value
+        pi, pj = self.p[i], self.p[j]
+        factors = (len(self.p) - 2) * (de + 1)
+        num = (-1) ** (de + 1) * de ** (2 * de + 1 + factors)
+        den = factorial(de) ** 2 * (pi - pj) ** (2 * de + 2)
+        for a in self.degrees:
+            m = a * de
+            for c in range(1, m):
+                num *= c * pi + (m - c) * pj
+            den *= de ** (m - 1)
+        for k, pk in enumerate(self.p):
+            if k != i and k != j:
+                for c in range(de + 1):
+                    den *= c * pi + (de - c) * pj - de * pk
+        flag_i = de * self._tangent[i] // (pi - pj)
+        flag_j = de * self._tangent[j] // (pj - pi)
+        return flag_i, flag_j, num, den
 
     def _tables(self, de):
         # the edges of degree de as two flat tables indexed by i * (n+1) + j,
@@ -297,20 +287,20 @@ class _Evaluator:
         # R_j = flag_j is the leaf's whole flag sum, T_j^2 B_j its vertex
         # constant and R_j^2 the rest of its vertex factor's denominator.
         # The mark term of power w is de * (p_i^w - p_j^w) / (p_i - p_j),
-        # an integer, one per power (see classes_total)
+        # an integer, one per power (see classes_total).  The edge factor and
+        # the mark terms are symmetric in i and j, so each unordered pair is
+        # computed once and written under both orders, the flags swapped
         tables = self._edge_tables.get(de)
         if tables is None:
-            edges, leaves = [], []
-            for i, pi in enumerate(self.p):
-                for j, (pj, vertex) in enumerate(zip(self.p, self._vertex)):
-                    if i == j:
-                        edges.append(None)
-                        leaves.append(None)
-                        continue
-                    flag_i, flag_j, num, den = self._edge(i, j, de)
-                    marks = tuple(de * (pi**w - pj**w) // (pi - pj) for w in self._powers)
-                    edges.append((flag_i, flag_j, num, den, marks))
-                    leaves.append((flag_i, num * vertex, den * flag_j**2, marks))
+            m = len(self.p)
+            edges, leaves = [None] * (m * m), [None] * (m * m)
+            for i, j in combinations(range(m), 2):
+                flag_i, flag_j, num, den = self._edge(i, j, de)
+                pi, pj = self.p[i], self.p[j]
+                marks = tuple(de * (pi**w - pj**w) // (pi - pj) for w in self._powers)
+                for a, b, flag_a, flag_b in (i, j, flag_i, flag_j), (j, i, flag_j, flag_i):
+                    edges[a * m + b] = (flag_a, flag_b, num, den, marks)
+                    leaves[a * m + b] = (flag_a, num * self._vertex[b], den * flag_b**2, marks)
             tables = self._edge_tables[de] = (edges, leaves)
         return tables
 
@@ -415,25 +405,25 @@ class _Evaluator:
         """
         return Fraction(*_pairwise_sum(*self._class_terms(graphs)))
 
+    def _branch_row(self, label, branch):
+        # (value, flag) per label c other than label: the branch's table
+        # entry for its root labelled c below a parent labelled label, and
+        # the parent's flag towards it, de * T_label / (p_label - p_c)
+        row = slice(label * len(self.p), (label + 1) * len(self.p))
+        entries = zip(self._branch_table(branch)[row], self._tables(branch[0])[0][row])
+        return [(value, edge[0]) for value, edge in entries if edge is not None]
+
     def _vertex_sum(self, label, rest):
         # the vertex part T_i^2 B_i (r + sum_f R_f)^(val-3) of _class_terms
         # at a vertex labelled i, summed over the labels behind
-        # all of its flags but one, as a function of the integer
-        # r = de * cof[i][j] of that remaining flag: rest lists the branches
-        # behind the others, and a branch of degree de_f whose root is
-        # labelled c has R_f = de_f * cof[i][c]
+        # all of its flags but one, as a function of the integer flag r of
+        # that remaining flag: rest lists the branches behind the others,
+        # and a branch whose root is labelled c has R_f its flag towards c
         scale = self._vertex[label]
-        cofactors = self._cofactor[label]
         if not rest:
             return lambda r: Fraction(scale, r * r)
         if len(rest) == 1:
-            (branch,) = rest
-            de = branch[0]
-            terms = [
-                (value * scale, de * cofactors[c])
-                for c, value in enumerate(self._branch_table(branch)[label])
-                if c != label
-            ]
+            terms = [(value * scale, flag) for value, flag in self._branch_row(label, rest[0])]
 
             def vertex_sum(r):
                 total = Fraction(0)
@@ -450,14 +440,11 @@ class _Evaluator:
         m = len(rest) - 2
         series = [Fraction(1)] + [Fraction(0)] * m
         for branch in rest:
-            de = branch[0]
             moments = [Fraction(0)] * (m + 1)
-            for c, value in enumerate(self._branch_table(branch)[label]):
-                if c != label:
-                    flag = de * cofactors[c]
-                    for j in range(m + 1):
-                        moments[j] += value
-                        value *= flag
+            for value, flag in self._branch_row(label, branch):
+                for j in range(m + 1):
+                    moments[j] += value
+                    value *= flag
             series = [
                 sum(comb(k, j) * series[j] * moments[k - j] for j in range(k + 1))
                 for k in range(m + 1)
@@ -473,25 +460,24 @@ class _Evaluator:
         return vertex_sum
 
     def _branch_table(self, branch):
-        # [i][j]: the sum, over the labellings of the branch's subtree whose
-        # root is labelled j below a parent labelled i, of its edge factor,
-        # its root's vertex part and everything below; None on the
-        # diagonal.  Equal branches, in one shape or several, share one table
+        # entry i * (n+1) + j: the sum, over the labellings of the branch's
+        # subtree whose root is labelled j below a parent labelled i, of its
+        # edge factor, its root's vertex part and everything below; None
+        # where i == j.  A leaf's entries are those of the leaf table.  Equal
+        # branches, in one shape or several, share one table
         table = self._branch_tables.get(branch)
         if table is None:
             de, below = branch
-            cofactor = self._cofactor
-            labels = range(len(self.p))
-            vertex_sums = [self._vertex_sum(j, below) for j in labels]
-            table = [
-                [
-                    Fraction(*self._edge(i, j, de)[2:]) * vertex_sums[j](de * cofactor[j][i])
-                    if i != j
-                    else None
-                    for j in labels
+            edges, leaves = self._tables(de)
+            if below:
+                m = len(self.p)
+                vertex_sums = [self._vertex_sum(j, below) for j in range(m)]
+                table = [
+                    None if edge is None else Fraction(*edge[2:4]) * vertex_sums[k % m](edge[1])
+                    for k, edge in enumerate(edges)
                 ]
-                for i in labels
-            ]
+            else:
+                table = [None if leaf is None else Fraction(*leaf[1:3]) for leaf in leaves]
             self._branch_tables[branch] = table
         return table
 
@@ -510,8 +496,9 @@ class _Evaluator:
         the sum over its subtree's labellings of its edge factor, its root's
         vertex part and everything below it.  Every factor is the one
         :meth:`classes_total` multiplies in, read from the same tables: the
-        memoized edge factors, and the vertex part ``T_i^2 B_i R_v^(val-3)``
-        with ``R_v`` the sum of the integer flags ``de * T_i / (p_i - p_j)``.
+        edge factors, the flags and the leaves of the flat per-degree edge
+        tables, and the vertex part ``T_i^2 B_i R_v^(val-3)`` with ``R_v``
+        the sum of the integer flags ``de * T_i / (p_i - p_j)``.
         Every edge and valence-2 vertex of a tree of the shape's degree is
         evaluated at every labelling, so a vector :func:`_degenerate` at that
         degree raises ``ZeroDivisionError`` here as in the class sum.
@@ -519,14 +506,11 @@ class _Evaluator:
         tree, aut_order, _classes = shape
         # the root's first flag plays the parent flag's part
         first, *rest = tree
-        de = first[0]
-        table = self._branch_table(first)
         total = Fraction(0)
-        for i, cofactors in enumerate(self._cofactor):
+        for i in range(len(self.p)):
             vertex_sum = self._vertex_sum(i, rest)
-            for c, value in enumerate(table[i]):
-                if c != i:
-                    total += value * vertex_sum(de * cofactors[c])
+            for value, flag in self._branch_row(i, first):
+                total += value * vertex_sum(flag)
         return total / aut_order
 
     def shapes_total(self, shapes) -> Fraction:

@@ -50,6 +50,17 @@ def _cover_sum(table, d, weight, start=1) -> Fraction:
     )
 
 
+def _exact(name, value) -> Fraction:
+    # value as an exact rational: a bool or a float is refused, as is
+    # anything Fraction cannot read
+    if isinstance(value, (bool, float)):
+        raise InputError(f"{name} must be an exact rational, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise InputError(f"{name}: {value!r} is not an exact rational") from None
+
+
 def _as_table(values, max_degree=None) -> dict:
     table = {}
     for d, v in dict(values).items():
@@ -57,10 +68,7 @@ def _as_table(values, max_degree=None) -> dict:
             raise InputError(f"need integer degrees and exact values, got {d!r}: {v!r}")
         if d < 1:
             raise InputError(f"degree must be at least 1, got {d}")
-        try:
-            table[d] = Fraction(v)
-        except (ValueError, TypeError, ZeroDivisionError):
-            raise InputError(f"degree {d}: {v!r} is not an exact rational") from None
+        table[d] = _exact(f"degree {d}", v)
     top = max_degree if max_degree is not None else (max(table) if table else 0)
     for d in range(1, top + 1):
         if d not in table:
@@ -97,8 +105,9 @@ def genus1_from_reduced(genus0_value, reduced_term) -> Fraction:
     """Genus-one invariant of a Calabi-Yau threefold class from the genus-zero
     invariant and the reduced term: ``genus0_value / 12 + reduced_term``, the
     :func:`gw_difference` of real dimension 6 with ``c1_pairing`` 0 added to
-    the reduced term."""
-    return gw_difference(6, 0, genus0_value) + Fraction(reduced_term)
+    the reduced term.  Raises :class:`~gwlocal.targets.InputError` unless
+    both are exact rationals (``bool`` and ``float`` are not)."""
+    return gw_difference(6, 0, genus0_value) + _exact("reduced_term", reduced_term)
 
 
 def gw_difference(real_dim: int, c1_pairing, genus0_value) -> Fraction:
@@ -106,12 +115,18 @@ def gw_difference(real_dim: int, c1_pairing, genus0_value) -> Fraction:
 
     Vanishes in real dimension 4; in real dimension 6 it equals
     ``(2 - c1_pairing) / 24 * genus0_value``.  Other dimensions raise
-    :class:`UnsupportedDimension`.
+    :class:`UnsupportedDimension`.  Raises
+    :class:`~gwlocal.targets.InputError` unless ``real_dim`` is an integer
+    and the other two are exact rationals (``bool`` and ``float`` are not).
     """
+    if not _is_integer(real_dim):
+        raise InputError(f"real_dim must be an integer, got {real_dim!r}")
+    c1_pairing = _exact("c1_pairing", c1_pairing)
+    genus0_value = _exact("genus0_value", genus0_value)
     if real_dim == 4:
         return Fraction(0)
     if real_dim == 6:
-        return Fraction(2 - c1_pairing, 24) * Fraction(genus0_value)
+        return (2 - c1_pairing) / 24 * genus0_value
     raise UnsupportedDimension(f"no difference formula in real dimension {real_dim}")
 
 

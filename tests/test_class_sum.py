@@ -10,11 +10,11 @@ slice and for two, in pools started by fork, spawn and forkserver;
 degenerates on it.  A slice's pairwise total must equal the sum of its
 classes' own totals in any order, a leaf folded into its edge's table entry
 must give the reference's term, at a root of valence 1 and with marks of two
-powers, one vanishing class must still raise, and each edge's memo entry
-must read the same from either end.  The string and divisor axioms and the
-plane-points values check the mark sums against the geometry, and every
-point, line and higher-codimension target of a grid on P^2 to P^5 against
-the Kontsevich-Manin recursion.
+powers, one vanishing class must still raise, and each edge's two entries
+in its flat table must read the same from either end.  The string and
+divisor axioms and the plane-points values check the mark sums against the
+geometry, and every point, line and higher-codimension target of a grid on
+P^2 to P^5 against the Kontsevich-Manin recursion.
 """
 
 import multiprocessing
@@ -164,8 +164,8 @@ def test_degenerates_with_reference_class_sum(target, weights, degenerate):
 class TestSliceSum:
     """``classes_total`` adds its classes' integer terms by a balanced
     pairwise sum, reads each edge from a flat per-degree table with any leaf
-    at its end folded in, and keeps each edge's flags and factor in one memo
-    keyed by the ordered labels."""
+    at its end folded in, and holds each edge under both orders of its
+    labels, the flags swapped."""
 
     @pytest.mark.parametrize(
         "target", [CITarget(2, (), 3, (2,) * 8), CITarget(3, (), 2, (3, 3, 2, 2, 2, 2))], ids=_name
@@ -283,8 +283,10 @@ class TestSliceSum:
             if reverse:
                 i, j = j, i
             for de in (1, 2, 3):
-                first = evaluator._edge(i, j, de)
-                assert evaluator._edge(j, i, de) == (first[1], first[0]) + first[2:]
+                edges = evaluator._tables(de)[0]
+                first, second = edges[i * 5 + j], edges[j * 5 + i]
+                assert second[:2] == (first[1], first[0])
+                assert second[2:4] == first[2:4]
                 # the flags are de * T_i / (p_i - p_j) and de * T_j / (p_j - p_i)
                 assert first[0] * (p[i] - p[j]) == de * tangent[i]
                 assert first[1] * (p[j] - p[i]) == de * tangent[j]

@@ -63,6 +63,13 @@ class TestSampleWeights:
         assert sample_weights(1, 4).weights == (8453, 5246, 8540, 2840, 8411)
         assert sample_weights(7, 2, attempt=3).weights == (8431, 3498, 6671)
 
+    @pytest.mark.parametrize("n", [0, -1, -5])
+    def test_n_below_one_rejected(self, n):
+        # n = -5 raised a bare ValueError from the generator, and n = 0 and
+        # n = -1 a message about the weight count
+        with pytest.raises(InputError, match=f"^n must be at least 1, got {n}$"):
+            sample_weights(1, n)
+
     def test_more_weights_than_the_bound_rejected(self):
         # n + 1 distinct weights cannot come from 1..WEIGHT_BOUND; the largest
         # n that fits still draws

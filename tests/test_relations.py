@@ -46,6 +46,16 @@ class TestGenusOneFromReduced:
     def test_zero(self):
         assert genus1_from_reduced(0, 0) == 0
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((0.1, 0), "genus0_value"), ((True, 0), "genus0_value"), ((0, 0.5), "reduced_term")],
+        ids=["float", "bool", "float-reduced"],
+    )
+    def test_inexact_arguments_rejected(self, args, name):
+        # 0.1 was read as its binary expansion and True as 1
+        with pytest.raises(InputError, match=f"{name} must be an exact rational"):
+            genus1_from_reduced(*args)
+
 
 class TestGwDifference:
     def test_surface_case_vanishes(self):
@@ -61,6 +71,22 @@ class TestGwDifference:
         for dim in (2, 5, 8):
             with pytest.raises(UnsupportedDimension):
                 gw_difference(dim, 0, Fraction(1))
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((6, 0.5, 1), "c1_pairing must be an exact rational"),  # was a TypeError
+            ((6, 0, 2.0), "genus0_value must be an exact rational"),
+            ((6, False, 1), "c1_pairing must be an exact rational"),
+            ((4, 0, 0.5), "genus0_value must be an exact rational"),
+            ((6.0, 0, 1), "real_dim must be an integer"),
+            ((True, 0, 1), "real_dim must be an integer"),
+            ((6, 0, None), "genus0_value: None is not an exact rational"),
+        ],
+    )
+    def test_inexact_arguments_rejected(self, args, message):
+        with pytest.raises(InputError, match=message):
+            gw_difference(*args)
 
     @given(rationals)
     def test_agreement_of_the_two_genus_one_statements(self, x):

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from gwlocal import CITarget, WeightVector, sample_weights
+from gwlocal import CITarget, WeightVector, sample_weights, sum_invariant
 from gwlocal.localization import _degenerate, _summands, _totals_at
 
 import reference_graphs
@@ -53,7 +53,9 @@ def _name(target):
 
 
 TARGETS = (
-    [CITarget(4, (5,), d) for d in (1, 2, 3)]
+    # the smallest label tables: two labels, and three
+    [CITarget(1, (), 1), CITarget(2, (2,), 2)]
+    + [CITarget(4, (5,), d) for d in (1, 2, 3)]
     + [CITarget(5, (3, 3), d) for d in (1, 2, 3)]
     + [CITarget(7, (2, 2, 2, 2), d) for d in (1, 2)]
     + [CITarget(5, (4, 2), 1), CITarget(6, (3, 2, 2), 1)]
@@ -73,6 +75,17 @@ def test_equals_reference_class_sum(target, scale):
     total = _shape_total(target, scaled(base, scale.numerator))
     assert total is not None
     assert total == _reference_total(target, scaled(base, scale.denominator))
+
+
+@pytest.mark.parametrize(
+    "target, graph_count",
+    # the identity line of P^1, and the conic itself
+    [(CITarget(1, (), 1), 1), (CITarget(2, (2,), 2), 12)],
+    ids=lambda value: _name(value) if isinstance(value, CITarget) else None,
+)
+def test_smallest_label_tables(target, graph_count):
+    result = sum_invariant(target)
+    assert (result.value, result.graph_count) == (1, graph_count)
 
 
 @pytest.mark.parametrize(
